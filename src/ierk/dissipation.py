@@ -389,6 +389,8 @@ def scan_parameter(
     """
     if target not in ("certified", "d_e", "d_ei"):
         raise ValueError(f"unknown scan target {target!r}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"scan step must be finite and positive, got {step}")
     fixed = dict(fixed or {})
     n = int(math.floor((hi - lo) / step + 1.5))
     values, verdicts, skipped = [], [], []

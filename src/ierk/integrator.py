@@ -5,6 +5,13 @@ division per Fourier mode because the mobility and the stabilized operator
 share the Fourier eigenbasis. The stiff operator enters through the full
 implicit tableau, the stabilized nonlinearity (and any forcing, evaluated at
 the stage abscissa times) through the strictly-lower explicit tableau.
+
+One kernel, built once per (system, tableau, tau), does all stepping: it
+checks and inverts the stage denominators up front, keeps the nonzero
+tableau entries as per-mode coefficients, and works on rfft half spectra
+because the fields are real. `evolve` and the harness's convergence loop
+drive it on plain arrays; `step` wraps a single kernel step in a StepRecord
+with full spectra for callers that inspect the stages.
 """
 
 from __future__ import annotations
@@ -72,6 +79,66 @@ class EnergyTrace:
         return len(self.times)
 
 
+class _StageKernel:
+    """Stage recursion of one (system, tableau, tau), on rfft half spectra.
+
+    Stage i solves (1 - tau a_ii ML_kappa) U_i = U_0 + tau sum_j a_ij ML_kappa U_j
+    - tau sum_j ahat_ij X_j with X_j = M g_kappa(U_j) - f(t + c_j tau). Every
+    per-mode coefficient comes pre-divided by the stage denominator, the U_0
+    one carrying the identity, and only nonzero tableau entries are kept.
+    """
+
+    def __init__(self, sys: SpectralSystem, tab: ImexTableau, tau: float):
+        if not tau > 0:
+            raise ValueError("tau must be positive")
+        c, A, Ah = tab.float_arrays()
+        self.half = sys.grid.m // 2 + 1
+        ml = sys.mobility_stiff_symbol[: self.half]
+        self.sys, self.tau, self.c = sys, tau, c
+        self.mob = sys.mobility_symbol[: self.half]
+        self.stages = []
+        for i in range(1, tab.s):
+            denom = 1.0 - (tau * A[i, i]) * ml
+            if np.any(denom == 0.0):
+                raise NonInvertibleStage(
+                    f"stage {i + 1} of {tab.name}: singular mode with a_ii={A[i, i]}, tau={tau}"
+                )
+            inv = 1.0 / denom
+            self.stages.append((
+                (1.0 + (tau * A[i, 0]) * ml) * inv,
+                [(j, (tau * A[i, j]) * ml * inv) for j in range(1, i) if A[i, j] != 0.0],
+                [(j, (tau * Ah[i, j]) * inv) for j in range(i) if Ah[i, j] != 0.0],
+            ))
+
+    def step(self, u_hat, u_vals, t, energies=None):
+        """Advance from half spectrum u_hat (nodal values u_vals) at time t.
+
+        Returns (stage half spectra, last stage's nodal values); when given,
+        energies[1:] receives the stage energies.
+        """
+        sys, m = self.sys, self.sys.grid.m
+        forced = sys.source is not None
+        spectra, forcing = [u_hat], []
+        vals = u_vals
+        # blow-ups surface as non-finite energies; keep them quiet here
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (own, implicit, explicit) in enumerate(self.stages, start=1):
+                x = self.mob * np.fft.rfft(sys.nonlinearity(vals, stabilized=True))
+                if forced:
+                    x -= np.fft.rfft(sys.source_values(t + self.c[i - 1] * self.tau))
+                forcing.append(x)
+                rhs = own * u_hat
+                for j, coef in implicit:
+                    rhs += coef * spectra[j]
+                for j, coef in explicit:
+                    rhs -= coef * forcing[j]
+                vals = np.fft.irfft(rhs, m)
+                spectra.append(rhs)
+                if energies is not None:
+                    energies[i] = energy_from_spectrum(sys, rhs, vals)
+        return spectra, vals
+
+
 def step(
     sys: SpectralSystem,
     tab: ImexTableau,
@@ -84,54 +151,16 @@ def step(
     Raises NonInvertibleStage when 1 - tau*a_ii*(M L_kappa symbol) vanishes
     on some mode (possible only for negative diagonal entries).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    # blow-ups surface as non-finite energies; keep them quiet here
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _step_impl(sys, tab, u_prev, t_prev, tau)
-
-
-def _step_impl(sys, tab, u_prev, t_prev, tau):
-    c, A, Ah = tab.float_arrays()
-    s = tab.s
+    kernel = _StageKernel(sys, tab, tau)
     m = sys.grid.m
-    ml = sys.mobility_stiff_symbol
-    mob = sys.mobility_symbol
-    has_source = sys.source is not None
-
-    spectra = np.empty((s, m), dtype=complex)
-    energies = np.empty(s)
-    spectra[0] = u_prev.spectrum
-    u0_vals = u_prev.values
-    energies[0] = energy_from_spectrum(sys, spectra[0], u0_vals)
-
-    # explicit contributions per stage: M g_kappa(U_j) - f(t_prev + c_j tau)
-    explicit = np.empty((s, m), dtype=complex)
-    g0 = np.fft.fft(sys.nonlinearity(u0_vals, stabilized=True))
-    explicit[0] = mob * g0
-    if has_source:
-        explicit[0] -= np.fft.fft(sys.source_values(t_prev + c[0] * tau))
-
-    for i in range(1, s):
-        rhs = spectra[0].copy()
-        for j in range(i):
-            if A[i, j] != 0.0:
-                rhs += (tau * A[i, j]) * (ml * spectra[j])
-            if Ah[i, j] != 0.0:
-                rhs -= (tau * Ah[i, j]) * explicit[j]
-        denom = 1.0 - (tau * A[i, i]) * ml
-        if np.any(denom == 0.0):
-            raise NonInvertibleStage(
-                f"stage {i + 1} of {tab.name}: singular mode with a_ii={A[i, i]}, tau={tau}"
-            )
-        spectra[i] = rhs / denom
-        vals = np.fft.ifft(spectra[i]).real
-        energies[i] = energy_from_spectrum(sys, spectra[i], vals)
-        if i < s - 1:
-            explicit[i] = mob * np.fft.fft(sys.nonlinearity(vals, stabilized=True))
-            if has_source:
-                explicit[i] -= np.fft.fft(sys.source_values(t_prev + c[i] * tau))
-
+    u_hat = u_prev.spectrum[: kernel.half]
+    energies = np.empty(tab.s)
+    energies[0] = energy_from_spectrum(sys, u_hat, u_prev.values)
+    half, _ = kernel.step(u_hat, u_prev.values, t_prev, energies)
+    spectra = np.empty((tab.s, m), dtype=complex)
+    spectra[:, : kernel.half] = half
+    # real fields: the negative frequencies mirror the positive ones
+    spectra[:, kernel.half:] = np.conj(spectra[:, m // 2 - 1 : 0 : -1])
     return StepRecord(t_start=t_prev, tau=tau, stage_spectra=spectra, stage_energies=energies)
 
 
@@ -150,27 +179,27 @@ def evolve(
     step produces non-finite values; the exception carries the trace of the
     completed steps so callers can still inspect the recorded energies.
     """
-    times = np.empty(n_steps)
+    kernel = _StageKernel(sys, tab, tau)
+    times = t0 + (np.arange(n_steps) + 1) * tau
     energies = np.empty(n_steps)
     stage_energies = np.empty((n_steps, tab.s)) if record_stages else None
-    e_init = None
+    stage_e = np.empty(tab.s)
+    u_hat, vals = u0.spectrum[: kernel.half], u0.values
+    e_init = e_start = energy_from_spectrum(sys, u_hat, vals)
     max_inc = -np.inf
     max_rel = -np.inf
-    u = u0
+    tiny = np.finfo(float).tiny
     for n in range(n_steps):
-        rec = step(sys, tab, u, t0 + n * tau, tau)
-        if e_init is None:
-            e_init = rec.stage_energies[0]
-        e_start = rec.stage_energies[0]
-        rises = rec.stage_energies[1:] - e_start
-        worst = float(rises.max())
+        stage_e[0] = e_start
+        spectra, vals = kernel.step(u_hat, vals, t0 + n * tau, stage_e)
+        u_hat = spectra[-1]
+        worst = float((stage_e[1:] - e_start).max())
         max_inc = max(max_inc, worst)
-        max_rel = max(max_rel, worst / max(abs(e_start), np.finfo(float).tiny))
-        times[n] = t0 + (n + 1) * tau
-        energies[n] = rec.stage_energies[-1]
+        max_rel = max(max_rel, worst / max(abs(e_start), tiny))
+        e_start = energies[n] = stage_e[-1]
         if record_stages:
-            stage_energies[n] = rec.stage_energies
-        if not np.isfinite(rec.stage_energies[-1]):
+            stage_energies[n] = stage_e
+        if not np.isfinite(e_start):
             trace = _build_trace(
                 e_init, times[: n + 1], energies[: n + 1],
                 stage_energies[: n + 1] if record_stages else None, max_inc, max_rel,
@@ -180,9 +209,7 @@ def evolve(
                 steps_completed=n + 1,
                 trace=trace,
             )
-        u = rec.result
-    if e_init is None:
-        e_init = energy_from_spectrum(sys, u0.spectrum, u0.values)
+    u = Field(values=vals) if n_steps else u0
     trace = _build_trace(e_init, times, energies, stage_energies, max_inc, max_rel)
     return u, trace
 
@@ -190,7 +217,7 @@ def evolve(
 def _build_trace(e_init, times, energies, stage_energies, max_inc, max_rel) -> EnergyTrace:
     prev = np.concatenate(([e_init], energies[:-1])) if len(energies) else energies
     return EnergyTrace(
-        initial_energy=float(e_init) if e_init is not None else float("nan"),
+        initial_energy=float(e_init),
         times=times,
         energies=energies,
         deltas=energies - prev,

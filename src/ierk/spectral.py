@@ -105,6 +105,12 @@ class SpectralSystem:
         k = self.grid.wavenumbers
         object.__setattr__(self, "_mob", -(k**2))
         object.__setattr__(self, "_stiff", (self.epsilon**2) * k**2)
+        # Parseval weights on the rfft half spectrum: interior modes stand for
+        # their conjugate twins as well
+        half = self.grid.m // 2 + 1
+        weights = np.full(half, 2.0)
+        weights[[0, -1]] = 1.0
+        object.__setattr__(self, "_energy_weights", weights * self._stiff[:half] / (2 * self.grid.m))
 
     @property
     def mobility_symbol(self) -> np.ndarray:
@@ -127,7 +133,7 @@ class SpectralSystem:
         return self._mob * (self._stiff + self.kappa)
 
     def nonlinearity(self, u: np.ndarray, stabilized: bool = False) -> np.ndarray:
-        g = u - u**3
+        g = u - u * u * u
         if stabilized:
             g = g + self.kappa * u
         return g
@@ -173,17 +179,13 @@ def energy(sys: SpectralSystem, u: Field) -> float:
     through the spectrum (Parseval), the well pointwise. Nonnegative since L
     is positive semi-definite and G >= 0.
     """
-    m = sys.grid.m
-    stiff = 0.5 / m * float(np.sum(sys.stiff_symbol * np.abs(u.spectrum) ** 2))
-    bulk = float(np.sum(sys.potential(u.values)))
-    return sys.grid.h * (stiff + bulk)
+    return energy_from_spectrum(sys, np.fft.rfft(u.values), u.values)
 
 
-def energy_from_spectrum(sys: SpectralSystem, spectrum: np.ndarray, values: np.ndarray) -> float:
-    """Energy when both representations are already in hand (hot path)."""
-    m = sys.grid.m
-    stiff = 0.5 / m * float(np.sum(sys.stiff_symbol * np.abs(spectrum) ** 2))
-    bulk = float(np.sum(sys.potential(values)))
+def energy_from_spectrum(sys: SpectralSystem, half_spectrum: np.ndarray, values: np.ndarray) -> float:
+    """Energy from the rfft half spectrum and the nodal values of one field."""
+    stiff = float(np.vdot(half_spectrum, sys._energy_weights * half_spectrum).real)
+    bulk = float(sys.potential(values).sum())
     return sys.grid.h * (stiff + bulk)
 
 

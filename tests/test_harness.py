@@ -243,6 +243,22 @@ def test_cli_evolve_outputs(tmp_path, capsys):
     assert snap[0] == "x,u" and len(snap) == 257
 
 
+def test_cli_evolve_negative_tau_exits_2(capsys):
+    rc = main(["evolve", "IERK1", "--p", "theta=0.5", "--tau", "-0.05", "--t-final", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: tau must be positive\n"
+
+
+@pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+def test_cli_scan_bad_step_exits_2(step, capsys):
+    rc = main(["scan", "IERK2-1", "--symbol", "c2", "--lo", "0.2", "--hi", "2",
+               "--step", step, "--a33", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scan step must be finite and positive")
+    assert err.count("\n") == 1
+
+
 def test_cli_converge_divergent_rows_are_null(capsys):
     rc = main(["converge", "IERK3-4stage", "--a22", "2", "--kappa", "4",
                "--tau-grid", "0.1,0.05"])

@@ -77,12 +77,15 @@ def test_linear_single_mode_amplification(name, params):
     tau = 0.37
     u0 = Field(values=np.sin(3 * sys.grid.x) + 0.5 * np.cos(7 * sys.grid.x))
     out = step(sys, tab, u0, 0.0, tau).result
+    # evolve must call the overridden nonlinearity too
+    out3, _ = evolve(sys, tab, u0, tau, 3)
     for k in (3, 7):
         amp = out.spectrum[k] / u0.spectrum[k]
         msym = -float(k**2)
         lk = 0.2**2 * k**2 + 1.5
         pred = _scalar_stage_oracle(tab, tau, msym, lk, 1.5)
         assert amp == pytest.approx(pred, rel=1e-12)
+        assert out3.spectrum[k] / u0.spectrum[k] == pytest.approx(pred**3, rel=1e-12)
 
 
 def test_ierk1_linear_amplification_closed_form():
@@ -165,7 +168,17 @@ def test_evolve_divergence_carries_trace():
     assert exc.trace.max_increase > 1e-6
 
 
-def test_non_invertible_stage():
+class _CountingSystem(SpectralSystem):
+    """Counts nonlinearity evaluations, i.e. the stage work actually done."""
+
+    calls = 0
+
+    def nonlinearity(self, u, stabilized=False):
+        type(self).calls += 1
+        return super().nonlinearity(u, stabilized)
+
+
+def test_non_invertible_stage(monkeypatch):
     # a negative implicit diagonal can zero the stage denominator:
     # 1 - tau * a22 * (-k^2 (eps^2 k^2)) = 0 at k=1 for a22=-1, tau=1, eps=1
     tab = tableau_from_dict({
@@ -175,15 +188,43 @@ def test_non_invertible_stage():
         "A": [[0, 0], [2, -1]],
         "A_hat": [[0, 0], [1, 0]],
     })
-    sys = SpectralSystem(SpectralGrid(0.0, TWO_PI, 16), epsilon=1.0, kappa=0.0)
+    sys = _CountingSystem(SpectralGrid(0.0, TWO_PI, 16), epsilon=1.0, kappa=0.0)
+    u0 = Field(values=np.sin(sys.grid.x))
     with pytest.raises(NonInvertibleStage):
-        step(sys, tab, Field(values=np.sin(sys.grid.x)), 0.0, 1.0)
+        step(sys, tab, u0, 0.0, 1.0)
+    # evolve refuses the tableau before it evaluates any stage
+    monkeypatch.setattr(_CountingSystem, "calls", 0)
+    with pytest.raises(NonInvertibleStage):
+        evolve(sys, tab, u0, 1.0, 5)
+    assert _CountingSystem.calls == 0
+
+
+@pytest.mark.parametrize("name,params", [("IERK2-2", {"a33": 0.61}),
+                                         ("IERK3-2", {"a43": F(-3, 5)}),
+                                         ("IERK4-A1", {})])
+def test_evolve_matches_step_loop(name, params, bench_sys):
+    tab = registry(name, params)
+    u0 = initial_field(bench_sys.grid, "tanh-bumps")
+    u_end, trace = evolve(bench_sys, tab, u0, 0.05, 20, record_stages=True)
+    u, stage_energies = u0, []
+    for k in range(20):
+        rec = step(bench_sys, tab, u, k * 0.05, 0.05)
+        stage_energies.append(rec.stage_energies)
+        u = rec.result
+    stage_energies = np.array(stage_energies)
+    assert trace.stage_energies == pytest.approx(stage_energies, rel=1e-12)
+    assert trace.energies == pytest.approx(stage_energies[:, -1], rel=1e-12)
+    assert trace.initial_energy == pytest.approx(stage_energies[0, 0], rel=1e-12)
+    assert u_end.values == pytest.approx(u.values, rel=1e-12, abs=1e-12)
 
 
 def test_step_rejects_bad_tau(bench_sys):
     tab = registry("IERK1", {"theta": 1})
     with pytest.raises(ValueError):
         step(bench_sys, tab, Field(values=np.zeros(256)), 0.0, 0.0)
+    # a negative tau gives a negative step count; evolve checks tau first
+    with pytest.raises(ValueError, match="tau must be positive"):
+        evolve(bench_sys, tab, Field(values=np.zeros(256)), -0.05, -20)
 
 
 def test_stage_energy_law_short_run():
