@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateParameters, InvalidTableau
-from .tableau import ImexTableau, reduced_matrices, registry
+from .errors import InvalidTableau
+from .tableau import ImexTableau, family_batch, reduced_matrices
 
 #: Default z samples; D(z) is affine in z so sign changes are bracketed by
 #: the extremes plus z = 0.
@@ -27,6 +27,9 @@ DEFAULT_Z_SAMPLES = (0.0, -1e-3, -1.0, -1e3, -1e6)
 
 #: Relative eigenvalue threshold for PSD verdicts.
 DEFAULT_TOL = 1e-12
+
+#: Largest scan grid; a scan holds O(n*s^2) floats for its n points.
+MAX_SCAN_POINTS = 10**6
 
 
 def _row_differences(M):
@@ -177,15 +180,17 @@ def eval_D(t: ImexTableau, z: float) -> np.ndarray:
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def _min_eig(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_sym(M)).min())
+def _min_eig_and_threshold(M: np.ndarray, tol: float):
+    """Min eigenvalue of sym(M) and the PSD threshold tol*max(1, |M|max).
 
-
-def _psd_threshold(M: np.ndarray, tol: float) -> float:
-    return tol * max(1.0, float(np.abs(M).max()))
+    M is a stack of square matrices; both results have its leading shape.
+    A matrix passes when its min eigenvalue is >= -threshold.
+    """
+    min_eig = np.linalg.eigvalsh(_sym(M)).min(axis=-1)
+    return min_eig, tol * np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -267,9 +272,8 @@ def _exact_det(M):
     return det
 
 
-def _first_negative_minor(name: str, M_np: np.ndarray, M_exact, tol: float):
+def _first_negative_minor(name: str, M_np: np.ndarray, M_exact, thr: float):
     S = _sym(M_np)
-    thr = _psd_threshold(M_np, tol)
     for k in range(1, S.shape[0] + 1):
         det = float(np.linalg.det(S[:k, :k]))
         if det < -thr:
@@ -293,22 +297,14 @@ def certify(
     only as witnesses for the non-PSD case.
     """
     pair = differentiation_pair(t)
-
-    def verdict(M):
-        me, thr = _min_eig(M), _psd_threshold(M, tol)
-        return PsdVerdict(is_psd=me >= -thr, min_eigenvalue=me, threshold=thr)
-
-    v_e = verdict(pair.d_e)
-    v_ei = verdict(pair.d_ei)
+    zs = np.asarray(z_samples, dtype=float).reshape(-1, 1, 1)
+    # one stack: D_E, D_EI, then D(z) at every sample
+    stack = np.concatenate([pair.d_e[None], pair.d_ei[None], pair.d_e - zs * pair.d_ei])
+    min_eig, thr = _min_eig_and_threshold(stack, tol)
+    v_e, v_ei = (PsdVerdict(bool(min_eig[i] >= -thr[i]), float(min_eig[i]), float(thr[i]))
+                 for i in (0, 1))
     certified = v_e.is_psd and v_ei.is_psd
-    eigs = []
-    refuted = False
-    for z in z_samples:
-        Dz = pair.at(z)
-        me = _min_eig(Dz)
-        eigs.append(me)
-        if me < -_psd_threshold(Dz, tol):
-            refuted = True
+    refuted = bool((min_eig[2:] < -thr[2:]).any())
     witnesses = []
     if not certified:
         for nm, M, ME, verdict in (
@@ -316,7 +312,7 @@ def certify(
             ("D_EI", pair.d_ei, pair.exact_d_ei, v_ei),
         ):
             if not verdict.is_psd:
-                w = _first_negative_minor(nm, M, ME, tol)
+                w = _first_negative_minor(nm, M, ME, verdict.threshold)
                 if w is not None:
                     witnesses.append(w)
     intercept, slope = average_rate(t)
@@ -328,7 +324,7 @@ def certify(
         certified=certified,
         refuted=refuted,
         z_samples=tuple(float(z) for z in z_samples),
-        min_eig_by_z=tuple(eigs),
+        min_eig_by_z=tuple(min_eig[2:].tolist()),
         rate_intercept=float(intercept),
         rate_slope=float(slope),
         witnesses=tuple(witnesses),
@@ -386,48 +382,51 @@ def scan_parameter(
     "d_ei" (one matrix only; useful when the other matrix does not depend on
     the scanned symbol). Interval endpoints are reported at grid resolution,
     not root-polished. Degenerate values are skipped and listed.
+
+    The grid lo + i*step (lo <= hi) is evaluated as one float batch: the
+    family is built once along it (`tableau.family_batch`), the pairs
+    D_E = A_E^{-1} E and D_EI = A_E^{-1} A_I E - E + I/2 of all valid points
+    come from one forward substitution over the stack, and each matrix gets
+    one stacked eigvalsh with `certify`'s threshold. Memory is O(n*s^2) for
+    n grid points, so grids beyond MAX_SCAN_POINTS are rejected.
     """
     if target not in ("certified", "d_e", "d_ei"):
         raise ValueError(f"unknown scan target {target!r}")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"scan step must be finite and positive, got {step}")
-    fixed = dict(fixed or {})
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"scan bounds must be finite with lo <= hi, got lo={lo}, hi={hi}")
     n = int(math.floor((hi - lo) / step + 1.5))
-    values, verdicts, skipped = [], [], []
-    for i in range(n):
-        v = lo + i * step
-        params = dict(fixed)
-        params[symbol] = v
-        try:
-            t = registry(family, params)
-            pair = differentiation_pair(t)
-        except (DegenerateParameters, InvalidTableau, ZeroDivisionError):
-            values.append(v)
-            verdicts.append(None)
-            skipped.append(v)
-            continue
-        ok_e = _min_eig(pair.d_e) >= -_psd_threshold(pair.d_e, tol)
-        ok_ei = _min_eig(pair.d_ei) >= -_psd_threshold(pair.d_ei, tol)
-        ok = {"certified": ok_e and ok_ei, "d_e": ok_e, "d_ei": ok_ei}[target]
-        values.append(v)
-        verdicts.append(bool(ok))
-    intervals = []
-    start = None
-    for v, ok in zip(values, verdicts):
-        if ok:
-            if start is None:
-                start = v
-            end = v
-        elif start is not None:
-            intervals.append((start, end))
-            start = None
-    if start is not None:
-        intervals.append((start, end))
+    if n > MAX_SCAN_POINTS:
+        raise ValueError(f"scan grid has {n} points; at most {MAX_SCAN_POINTS} are allowed")
+    grid = lo + np.arange(n) * step
+    A, A_hat, valid = family_batch(family, symbol, grid, fixed or {})
+    A_I, A_E = A[valid, 1:, 1:], A_hat[valid, 1:, :-1]
+    del A, A_hat  # peak memory: free the full stacks before X is allocated
+    k = A_E.shape[-1]
+    E = np.tri(k)
+    # [D_E, D_EI] = A_E^{-1} [E, A_I E] - [0, E - I/2] by forward substitution;
+    # A_I E sums each row of A_I from the right
+    X = np.concatenate([np.broadcast_to(E, A_E.shape), A_I[..., ::-1].cumsum(-1)[..., ::-1]], -1)
+    for i in range(k):
+        X[:, i] -= (A_E[:, i, :i, None] * X[:, :i]).sum(1)
+        X[:, i] /= A_E[:, i, i, None]
+    d_e, d_ei = X[..., :k], X[..., k:]
+    d_ei -= E
+    d_ei += 0.5 * np.eye(k)
+    min_eig_e, thr_e = _min_eig_and_threshold(d_e, tol)
+    min_eig_ei, thr_ei = _min_eig_and_threshold(d_ei, tol)
+    ok_e, ok_ei = min_eig_e >= -thr_e, min_eig_ei >= -thr_ei
+    good = np.zeros(n, dtype=bool)
+    good[valid] = {"certified": ok_e & ok_ei, "d_e": ok_e, "d_ei": ok_ei}[target]
+    values = grid.tolist()
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], good, [0]])))  # run starts, run ends
+    intervals = [(values[a], values[b - 1]) for a, b in zip(edges[0::2], edges[1::2])]
     return ScanResult(
         family=family,
         symbol=symbol,
         values=tuple(values),
-        verdicts=tuple(verdicts),
+        verdicts=tuple(g if v else None for g, v in zip(good.tolist(), valid.tolist())),
         certified_intervals=tuple(intervals),
-        skipped=tuple(skipped),
+        skipped=tuple(v for v, ok in zip(values, valid.tolist()) if not ok),
     )

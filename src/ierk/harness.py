@@ -51,12 +51,10 @@ def build_system(cfg: Mapping) -> SpectralSystem:
         source = spectral.manufactured_source_values
     else:
         raise ValueError(f"unknown source {source_key!r} (use none | manufactured)")
-    return SpectralSystem(
-        grid=grid,
-        epsilon=float(cfg.get("epsilon", 0.2)),
-        kappa=float(cfg.get("kappa", 0.0)),
-        source=source,
-    )
+    epsilon, kappa = float(cfg.get("epsilon", 0.2)), float(cfg.get("kappa", 0.0))
+    if not (math.isfinite(epsilon) and math.isfinite(kappa)):
+        raise ValueError(f"epsilon and kappa must be finite, got epsilon={epsilon}, kappa={kappa}")
+    return SpectralSystem(grid=grid, epsilon=epsilon, kappa=kappa, source=source)
 
 
 def resolve_method(cfg: Mapping) -> ImexTableau:

@@ -57,10 +57,13 @@ def as_scalar(value) -> Scalar:
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
+def _float_close(a, b):
+    """|a - b| <= FLOAT_TOL * max(1, |b|), elementwise on floats or float arrays."""
+    return np.abs(a - b) <= FLOAT_TOL * np.maximum(1.0, np.abs(b))
+
+
 def _close(a, b, exact: bool) -> bool:
-    if exact:
-        return a == b
-    return abs(float(a) - float(b)) <= FLOAT_TOL * max(1.0, abs(float(b)))
+    return a == b if exact else bool(_float_close(float(a), float(b)))
 
 
 @dataclass(frozen=True)
@@ -324,7 +327,7 @@ def _build_ierk1(theta):
 
 
 def _build_ierk2_1(c2, a33):
-    if c2 == 0:
+    if np.ndim(c2) == 0 and c2 == 0:
         raise DegenerateParameters("IERK2-1 requires c2 != 0")
     a22 = 2 * c2 * c2 * a33
     a32 = (1 - 2 * a33) / (2 * c2)
@@ -338,7 +341,8 @@ def _build_ierk2_1(c2, a33):
 
 def _build_ierk2_2(a33):
     c2 = _SQRT2 / 2
-    a33 = float(a33)
+    if np.ndim(a33) == 0:
+        a33 = float(a33)
     c = (_f(0), c2, 1.0)
     A = (
         (_f(0),) * 3,
@@ -350,7 +354,7 @@ def _build_ierk2_2(a33):
 
 
 def _build_ierk2_radau(c2):
-    if c2 == 0 or c2 == 1:
+    if np.ndim(c2) == 0 and (c2 == 0 or c2 == 1):
         raise DegenerateParameters("IERK2-Radau requires c2 notin {0, 1}")
     a32 = 1 / (2 * (1 - c2))
     a33 = (1 - 2 * c2) / (2 * (1 - c2))
@@ -443,7 +447,7 @@ def _build_ierk3_2(a43):
 
 
 def _build_ierk3_radau(ahat43):
-    if ahat43 == 0:
+    if np.ndim(ahat43) == 0 and ahat43 == 0:
         raise DegenerateParameters("IERK3-Radau requires ahat43 != 0")
     z = 0 * ahat43
     c = (_f(0), _f(4, 5), _f(93, 200), _f(171, 200), _f(1))
@@ -675,6 +679,55 @@ FAMILIES = {
 METHOD_NAMES = tuple(FAMILIES)
 
 
+def _family(name: str, symbols) -> MethodFamily:
+    """The family `name`, once `symbols` are checked to be exactly its free symbols."""
+    try:
+        family = FAMILIES[name]
+    except KeyError:
+        raise UnknownMethod(
+            f"unknown method {name!r}; available: {', '.join(METHOD_NAMES)}"
+        ) from None
+    missing = [p for p in family.free_symbols if p not in symbols]
+    extra = [p for p in symbols if p not in family.free_symbols]
+    if missing or extra:
+        raise DegenerateParameters(
+            f"{name} takes exactly {family.free_symbols}; missing={missing} extra={extra}"
+        )
+    return family
+
+
+def family_batch(name: str, symbol: str, values: np.ndarray, fixed: Mapping):
+    """Float tableaux of a family along a 1-D array of values of one symbol.
+
+    The family is built once, with `values` in place of `symbol` and every
+    `fixed` parameter as a constant float array. Returns the stacked
+    (n, s, s) arrays (A, A_hat) and a mask of the points that pass
+    `validate_tableau`'s invariants at FLOAT_TOL with finite entries; the
+    degenerate points of a family give infinities or a zero explicit
+    subdiagonal, so they fail it.
+    """
+    n = len(values)
+    params = {k: np.full(n, float(as_scalar(v))) for k, v in fixed.items()}
+    params[symbol] = values
+    family = _family(name, params)
+
+    def col(x):
+        return np.broadcast_to(np.asarray(x, dtype=float), n)
+
+    with np.errstate(all="ignore"):
+        c, A, Ah = family.build(*(params[k] for k in family.free_symbols))
+        c = np.array([col(x) for x in c]).T
+        A, Ah = (np.array([[col(x) for x in row] for row in M]).transpose(2, 0, 1) for M in (A, Ah))
+        s = c.shape[-1]
+        ok = np.isfinite(c).all(-1) & np.isfinite(A).all((-2, -1)) & np.isfinite(Ah).all((-2, -1))
+        ok &= (c[:, 0] == 0) & _float_close(c[:, -1], 1.0) & (A[:, 0] == 0).all(-1)
+        ok &= (A[:, ~np.tri(s, dtype=bool)] == 0).all(-1)
+        ok &= (Ah[:, ~np.tri(s, k=-1, dtype=bool)] == 0).all(-1)
+        ok &= _float_close(A.sum(-1), c).all(-1) & _float_close(Ah.sum(-1), c).all(-1)
+        ok &= (np.diagonal(Ah, -1, 1, 2) != 0).all(-1)
+    return A, Ah, ok
+
+
 def registry(name: str, params: Optional[Mapping] = None) -> ImexTableau:
     """Build a registry method from its family name and free parameters.
 
@@ -682,19 +735,8 @@ def registry(name: str, params: Optional[Mapping] = None) -> ImexTableau:
     floats; the tableau is exact unless a float sneaks in or the family is
     inherently irrational (IERK2-2 is built around sqrt(2)).
     """
-    try:
-        family = FAMILIES[name]
-    except KeyError:
-        raise UnknownMethod(
-            f"unknown method {name!r}; available: {', '.join(METHOD_NAMES)}"
-        ) from None
     params = dict(params or {})
-    missing = [p for p in family.free_symbols if p not in params]
-    extra = [p for p in params if p not in family.free_symbols]
-    if missing or extra:
-        raise DegenerateParameters(
-            f"{name} takes exactly {family.free_symbols}; missing={missing} extra={extra}"
-        )
+    family = _family(name, params)
     values = {k: as_scalar(params[k]) for k in family.free_symbols}
     try:
         c, A, Ah = family.build(*(values[k] for k in family.free_symbols))

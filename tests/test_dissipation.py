@@ -16,7 +16,7 @@ from ierk.dissipation import (
     orthogonality_defect,
     scan_parameter,
 )
-from ierk.errors import InvalidTableau
+from ierk.errors import DegenerateParameters, InvalidTableau
 from ierk.tableau import registry, reduced_matrices
 
 from conftest import REGISTRY_CASES
@@ -376,6 +376,73 @@ def test_scan_d_e_target():
 def test_scan_rejects_unknown_target():
     with pytest.raises(ValueError):
         scan_parameter("IERK3-1", "a55", 0.5, 1.0, 0.1, target="bogus")
+
+
+def _reference_scan(family, symbol, lo, hi, step, fixed, target, tol=1e-12):
+    """Point-by-point scan: registry, differentiation_pair, certify's threshold."""
+    values, verdicts = [], []
+    for i in range(int(math.floor((hi - lo) / step + 1.5))):
+        v = lo + i * step
+        values.append(v)
+        try:
+            pair = differentiation_pair(registry(family, {**(fixed or {}), symbol: v}))
+        except (DegenerateParameters, InvalidTableau, ZeroDivisionError):
+            verdicts.append(None)
+            continue
+        ok = {}
+        for name, M in (("d_e", pair.d_e), ("d_ei", pair.d_ei)):
+            min_eig = np.linalg.eigvalsh(0.5 * (M + M.T)).min()
+            ok[name] = bool(min_eig >= -tol * max(1.0, np.abs(M).max()))
+        ok["certified"] = ok["d_e"] and ok["d_ei"]
+        verdicts.append(ok[target])
+    skipped = [v for v, verdict in zip(values, verdicts) if verdict is None]
+    return tuple(values), tuple(verdicts), tuple(skipped)
+
+
+# Each grid crosses the family's degenerate values (listed) and both ends of
+# its certified interval, where the interval is bounded.
+PARITY_SCANS = [
+    ("IERK2-1", "c2", -0.5, 2.25, 1e-2, {"a33": 1.0}, "certified", (0.0,)),
+    ("IERK2-1", "c2", -0.5, 2.25, 1e-2, {"a33": 1}, "d_e", (0.0,)),
+    ("IERK2-1", "a33", -0.5, 2.25, 1e-2, {"c2": 1}, "certified", ()),
+    ("IERK2-1", "a33", -0.5, 2.25, 1e-2, {"c2": F(3, 4)}, "d_ei", ()),
+    ("IERK2-1", "a33", 0.0, 1.0, 0.25, {"c2": 0}, "certified", (0.0, 0.25, 0.5, 0.75, 1.0)),
+    ("IERK1", "theta", -0.5, 2.0, 1e-2, None, "certified", ()),
+    ("IERK2-2", "a33", -0.5, 2.0, 1e-2, None, "certified", ()),
+    ("IERK2-Radau", "c2", -0.5, 3.0, 1e-2, None, "certified", (0.0, 1.0)),
+    ("IERK3-4stage", "a22", -1.0, 4.0, 5e-2, None, "certified", ()),
+    ("IERK3-1", "a55", 0.5, 2.0, 5e-3, None, "certified", ()),
+    ("IERK3-2", "a43", -1.0, 0.0, 5e-3, None, "certified", ()),
+    ("IERK3-Radau", "ahat43", -0.4, 1.2, 5e-3, None, "certified", (0.0,)),
+]
+
+
+@pytest.mark.parametrize("family, symbol, lo, hi, step, fixed, target, degenerate", PARITY_SCANS)
+def test_scan_matches_pointwise_reference(family, symbol, lo, hi, step, fixed, target,
+                                          degenerate):
+    values, verdicts, skipped = _reference_scan(family, symbol, lo, hi, step, fixed, target)
+    assert skipped == degenerate
+    res = scan_parameter(family, symbol, lo, hi, step, fixed=fixed, target=target)
+    assert res.values == values
+    assert res.verdicts == verdicts
+    assert res.skipped == skipped
+    assert all(type(v) is float for v in res.values)
+    assert all(v is None or type(v) is bool for v in res.verdicts)
+
+
+def test_scan_rejects_bad_symbols_and_bounds():
+    with pytest.raises(DegenerateParameters):
+        scan_parameter("IERK3-1", "bogus", 0.5, 1.0, 0.1)
+    with pytest.raises(DegenerateParameters):
+        scan_parameter("IERK2-1", "c2", 0.5, 1.0, 0.1)
+    with pytest.raises(DegenerateParameters):
+        scan_parameter("IERK3-1", "a55", 0.5, 1.0, 0.1, fixed={"a43": 1})
+    for lo, hi in ((2.0, 0.5), (math.nan, 1.0), (0.5, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="scan bounds"):
+            scan_parameter("IERK3-1", "a55", lo, hi, 0.1)
+    # rejected before any array of that size exists
+    with pytest.raises(ValueError, match="scan grid has"):
+        scan_parameter("IERK3-1", "a55", 0.0, 1.0, 1e-12)
 
 
 # ---------------------------------------------------------------------------

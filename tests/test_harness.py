@@ -259,6 +259,36 @@ def test_cli_scan_bad_step_exits_2(step, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["IERK3-1", "--symbol", "bogus", "--lo", "0.5", "--hi", "1"], "IERK3-1 takes exactly"),
+    (["IERK2-1", "--symbol", "c2", "--lo", "0.5", "--hi", "1"], "IERK2-1 takes exactly"),
+    (["IERK3-1", "--symbol", "a55", "--lo", "2", "--hi", "0.5"], "scan bounds must be finite"),
+    (["IERK3-1", "--symbol", "a55", "--lo", "nan", "--hi", "1"], "scan bounds must be finite"),
+    (["IERK3-1", "--symbol", "a55", "--lo", "0.5", "--hi", "inf"], "scan bounds must be finite"),
+])
+def test_cli_scan_bad_symbol_or_bounds_exits_2(args, message, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    rc = main(["scan", *args, "--step", "0.1", "--out", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not (out_dir / "report.json").exists()
+    assert not (out_dir / "table.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--epsilon=nan", "--epsilon=inf", "--kappa=-inf"])
+def test_cli_evolve_non_finite_parameters_exit_2(flag, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    rc = main(["evolve", "IERK1", "--theta", "1/2", "--tau", "0.05", flag,
+               "--out", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon and kappa must be finite")
+    assert err.count("\n") == 1
+    assert not (out_dir / "report.json").exists()
+
+
 def test_cli_converge_divergent_rows_are_null(capsys):
     rc = main(["converge", "IERK3-4stage", "--a22", "2", "--kappa", "4",
                "--tau-grid", "0.1,0.05"])
