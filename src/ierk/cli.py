@@ -26,7 +26,7 @@ import sys as _sys
 
 from . import harness
 from .errors import IerkError
-from .tableau import as_scalar, load_tableau, registry
+from .tableau import as_scalar
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,8 +72,7 @@ def _parse_extra_params(extras):
 def _merge_config(args, keys):
     cfg = dict(harness.load_config(args.config)) if getattr(args, "config", None) else {}
     for key in keys:
-        attr = key.replace("-", "_")
-        val = getattr(args, attr, None)
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     if getattr(args, "tableau", None):
@@ -82,18 +81,6 @@ def _merge_config(args, keys):
     if extra:
         cfg["params"] = {**cfg.get("params", {}), **extra}
     return cfg
-
-
-def _resolve(args, cfg):
-    if getattr(args, "tableau", None):
-        return load_tableau(args.tableau)
-    if cfg.get("tableau_file"):
-        return load_tableau(cfg["tableau_file"])
-    method = getattr(args, "method", None) or cfg.get("method")
-    if not method:
-        raise ValueError("no method given (positional METHOD or config key 'method')")
-    params = {k: as_scalar(v) for k, v in (cfg.get("params") or {}).items()}
-    return registry(method, params)
 
 
 def _emit(outdir, report):
@@ -113,9 +100,15 @@ def _add_common(p, method_positional=True):
                    help="method parameter (repeatable)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a one-line ValueError (exit 2), like any bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="ierk",
-                                 description="IMEX Runge-Kutta energy-dissipation toolkit")
+    ap = _Parser(prog="ierk", description="IMEX Runge-Kutta energy-dissipation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check order conditions")
@@ -175,14 +168,14 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         cfg = _merge_config(args, ("method",))
-        tab = _resolve(args, cfg)
+        tab = harness.resolve_method(cfg)
         report = harness.run_verify(tab, tol=args.tol)
         _emit(outdir, report)
         return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
     if args.command == "certify":
         cfg = _merge_config(args, ("method",))
-        tab = _resolve(args, cfg)
+        tab = harness.resolve_method(cfg)
         report = harness.run_certify(tab, tol=args.tol)
         _emit(outdir, report)
         return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
@@ -223,7 +216,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "converge":
-        cfg = _merge_config(args, ("method", "m", "epsilon", "kappa", "t-final", "t_final"))
+        cfg = _merge_config(args, ("method", "m", "epsilon", "kappa", "t_final"))
         if getattr(args, "tau_grid", None):
             cfg["tau_grid"] = [float(x) for x in str(args.tau_grid).split(",")]
         table = harness.run_converge(cfg)
@@ -259,9 +252,7 @@ def _dispatch(args) -> int:
 
     if args.command == "evolve":
         cfg = _merge_config(
-            args,
-            ("method", "m", "epsilon", "kappa", "t-final", "t_final", "tau",
-             "initial", "record_stages"),
+            args, ("method", "m", "epsilon", "kappa", "t_final", "tau", "initial", "record_stages"),
         )
         trace, summary, final = harness.run_evolve(cfg)
         if outdir:

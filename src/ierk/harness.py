@@ -40,15 +40,27 @@ DEFAULT_CONFIG = {
     "record_stages": False,
 }
 
+#: Every key an experiment config may hold; "experiment" only labels it.
+CONFIG_KEYS = frozenset(DEFAULT_CONFIG) | {
+    "experiment", "method", "params", "tableau_file", "tau", "tau_grid", "reference",
+}
+
+
+def check_config_keys(cfg: Mapping) -> None:
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+
 
 def build_system(cfg: Mapping) -> SpectralSystem:
+    check_config_keys(cfg)
     lo, hi = cfg.get("domain", DEFAULT_CONFIG["domain"])
     grid = SpectralGrid(float(lo), float(hi), int(cfg.get("m", 256)))
     source_key = cfg.get("source", "none")
     if source_key == "none":
         source = None
     elif source_key == "manufactured":
-        source = spectral.manufactured_source_values
+        source = spectral.MANUFACTURED_SOURCE
     else:
         raise ValueError(f"unknown source {source_key!r} (use none | manufactured)")
     epsilon, kappa = float(cfg.get("epsilon", 0.2)), float(cfg.get("kappa", 0.0))
@@ -60,6 +72,8 @@ def build_system(cfg: Mapping) -> SpectralSystem:
 def resolve_method(cfg: Mapping) -> ImexTableau:
     if cfg.get("tableau_file"):
         return load_tableau(cfg["tableau_file"])
+    if not cfg.get("method"):
+        raise ValueError("no method given (positional METHOD or config key 'method')")
     return registry(cfg["method"], cfg.get("params") or {})
 
 
@@ -88,6 +102,8 @@ def run_scan(family: str, symbol: str, lo: float, hi: float, step_size: float,
              fixed: Optional[Mapping] = None, target: str = "certified") -> dict:
     res = dissipation.scan_parameter(family, symbol, lo, hi, step_size,
                                      fixed=dict(fixed or {}), target=target)
+    if len(res.skipped) == len(res.values):
+        raise ValueError(f"every point of the {family} scan over {symbol} is degenerate")
     out = res.as_dict()
     out["ok"] = bool(res.certified_intervals)
     out["rows"] = [
@@ -217,16 +233,17 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
 
 def _max_norm_error(sys: SpectralSystem, tab: ImexTableau, tau: float, n_steps: int) -> float:
     kernel = _StageKernel(sys, tab, tau)
-    vals = spectral.decaying_sine(sys, 0.0)
+    # decaying_sine(sys, t) is exactly e^{-t} times its t = 0 values
+    vals = profile = spectral.decaying_sine(sys, 0.0)
     u_hat = np.fft.rfft(vals)
     err = 0.0
     for k in range(n_steps):
         spectra, vals = kernel.step(u_hat, vals, k * tau)
         u_hat = spectra[-1]
-        if not np.all(np.isfinite(vals)):
+        dev = float(np.abs(vals - math.exp(-(k + 1) * tau) * profile).max())
+        if not math.isfinite(dev):
             return math.inf
-        exact = spectral.decaying_sine(sys, (k + 1) * tau)
-        err = max(err, float(np.abs(vals - exact).max()))
+        err = max(err, dev)
     return err
 
 
@@ -266,6 +283,7 @@ def run_evolve(cfg: Mapping) -> tuple:
         "domain": [float(x) for x in cfg["domain"]],
         "m": int(cfg["m"]),
         "steps": len(trace),
+        "t_end": float(trace.times[-1]) if len(trace) else 0.0,
         "diverged": diverged,
         "initial_energy": trace.initial_energy,
         "final_energy": float(trace.energies[-1]) if len(trace) else trace.initial_energy,
@@ -458,6 +476,7 @@ def load_config(path) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
+    check_config_keys(cfg)
     return cfg
 
 

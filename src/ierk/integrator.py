@@ -125,7 +125,7 @@ class _StageKernel:
             for i, (own, implicit, explicit) in enumerate(self.stages, start=1):
                 x = self.mob * np.fft.rfft(sys.nonlinearity(vals, stabilized=True))
                 if forced:
-                    x -= np.fft.rfft(sys.source_values(t + self.c[i - 1] * self.tau))
+                    x -= sys.source_spectrum(t + self.c[i - 1] * self.tau)
                 forcing.append(x)
                 rhs = own * u_hat
                 for j, coef in implicit:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -81,7 +81,12 @@ class Field:
         return float(self.spectrum[0].real) / self.m
 
 
-SourceFn = Callable[["SpectralSystem", float], np.ndarray]
+class ModalSource(NamedTuple):
+    """Forcing sum_k a_k(t) phi_k(x): `amplitudes(system, t)` gives the a_k, `modes`
+    the phi_k as functions of the nodes; a system transforms each mode once."""
+
+    amplitudes: Callable[["SpectralSystem", float], tuple]
+    modes: tuple
 
 
 @dataclass(frozen=True)
@@ -90,14 +95,14 @@ class SpectralSystem:
 
     kappa >= 0 is the stabilization shift: the implicit operator becomes
     L + kappa*I and the explicit nonlinearity g(u) + kappa*u, leaving the
-    continuous dynamics unchanged. `source` (optional) maps (system, t) to
-    nodal values of a forcing term added outside the mobility.
+    continuous dynamics unchanged. `source` (optional, a ModalSource) is a
+    forcing term added outside the mobility.
     """
 
     grid: SpectralGrid
     epsilon: float
     kappa: float = 0.0
-    source: Optional[SourceFn] = field(default=None, compare=False)
+    source: Optional[ModalSource] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kappa < 0:
@@ -111,6 +116,9 @@ class SpectralSystem:
         weights = np.full(half, 2.0)
         weights[[0, -1]] = 1.0
         object.__setattr__(self, "_energy_weights", weights * self._stiff[:half] / (2 * self.grid.m))
+        if self.source is not None:
+            modes = [np.fft.rfft(f(self.grid.x)) for f in self.source.modes]
+            object.__setattr__(self, "_source_modes", np.array(modes))
 
     @property
     def mobility_symbol(self) -> np.ndarray:
@@ -142,10 +150,15 @@ class SpectralSystem:
         """Double-well density G(u) = (u^2 - 1)^2 / 4, nonnegative."""
         return 0.25 * (u**2 - 1.0) ** 2
 
-    def source_values(self, t: float) -> Optional[np.ndarray]:
+    def source_spectrum(self, t: float) -> Optional[np.ndarray]:
+        """rfft half spectrum of the forcing at time t: amplitudes times mode spectra."""
         if self.source is None:
             return None
-        return self.source(self, t)
+        return np.dot(self.source.amplitudes(self, t), self._source_modes)
+
+    def source_values(self, t: float) -> Optional[np.ndarray]:
+        spectrum = self.source_spectrum(t)
+        return None if spectrum is None else np.fft.irfft(spectrum, self.grid.m)
 
 
 _OPERATOR_SYMBOLS = {
@@ -208,21 +221,21 @@ def decaying_sine(sys: SpectralSystem, t: float) -> np.ndarray:
     return math.exp(-t) * np.sin(sys.grid.x)
 
 
+def _manufactured_amplitudes(sys: SpectralSystem, t: float) -> tuple:
+    e1, e3 = math.exp(-t), math.exp(-3.0 * t)
+    return ((sys.epsilon**2 - 2.0) * e1 + 0.75 * e3, -2.25 * e3)
+
+
+#: Forcing that makes e^{-t} sin(x) solve the Cahn-Hilliard flow:
+#: f = d_t u - d_xx(-eps^2 u_xx - u + u^3) at u = e^{-t} sin x, where the
+#: cubic contributes modes one and three via sin^3 = (3 sin x - sin 3x)/4.
+MANUFACTURED_SOURCE = ModalSource(_manufactured_amplitudes, (np.sin, lambda x: np.sin(3.0 * x)))
+
+
 def manufactured_source(sys: SpectralSystem, t: float) -> Field:
-    """Forcing that makes e^{-t} sin(x) solve the Cahn-Hilliard flow.
-
-    f = d_t u - d_xx(-eps^2 u_xx - u + u^3) evaluated at u = e^{-t} sin x;
-    the cubic contributes modes one and three via sin^3 = (3 sin x - sin 3x)/4.
-    """
-    x = sys.grid.x
-    e1 = math.exp(-t)
-    e3 = math.exp(-3.0 * t)
-    vals = (sys.epsilon**2 - 2.0) * e1 * np.sin(x) + 0.75 * e3 * (np.sin(x) - 3.0 * np.sin(3.0 * x))
-    return Field(values=vals)
-
-
-def manufactured_source_values(sys: SpectralSystem, t: float) -> np.ndarray:
-    return manufactured_source(sys, t).values
+    """Nodal values of MANUFACTURED_SOURCE on the grid of sys at time t."""
+    amps = _manufactured_amplitudes(sys, t)
+    return Field(values=sum(a * f(sys.grid.x) for a, f in zip(amps, MANUFACTURED_SOURCE.modes)))
 
 
 def tanh_gaussian_bumps(x: np.ndarray) -> np.ndarray:

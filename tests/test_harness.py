@@ -152,6 +152,29 @@ def test_run_evolve_zero_steps_empty_trace():
     assert final is not None
 
 
+def test_run_evolve_reports_time_reached():
+    # 1 / 0.07 rounds to 14 steps: the run ends at t = 0.98, and says so
+    _, summary, _ = run_evolve({"method": "IERK1", "params": {"theta": 0.5},
+                                "tau": 0.07, "kappa": 2.0, "t_final": 1.0})
+    assert summary["steps"] == 14
+    assert summary["t_end"] == pytest.approx(0.98, rel=1e-12)
+    _, summary, _ = run_evolve({"method": "IERK1", "params": {"theta": 0.5},
+                                "tau": 0.2, "kappa": 2.0, "t_final": 0.05})
+    assert summary["t_end"] == 0.0
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    cfg = {"method": "IERK1", "params": {"theta": 0.5}, "tau": 0.1, "t_final": 1.0, "kapa": 3}
+    with pytest.raises(ValueError, match="unknown config key 'kapa'"):
+        run_evolve(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "run"
+    assert main(["evolve", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'kapa'\n"
+    assert not (out_dir / "report.json").exists()
+
+
 def test_run_evolve_divergence_flag():
     cfg = {"method": "IERK3-4stage", "params": {"a22": 1}, "tau": 0.01,
            "kappa": 4.0, "t_final": 30.0}
@@ -265,6 +288,8 @@ def test_cli_scan_bad_step_exits_2(step, capsys):
     (["IERK3-1", "--symbol", "a55", "--lo", "2", "--hi", "0.5"], "scan bounds must be finite"),
     (["IERK3-1", "--symbol", "a55", "--lo", "nan", "--hi", "1"], "scan bounds must be finite"),
     (["IERK3-1", "--symbol", "a55", "--lo", "0.5", "--hi", "inf"], "scan bounds must be finite"),
+    (["IERK2-1", "--symbol", "a33", "--lo", "0", "--hi", "1", "--c2", "0"],
+     "every point of the IERK2-1 scan over a33 is degenerate"),
 ])
 def test_cli_scan_bad_symbol_or_bounds_exits_2(args, message, tmp_path, capsys):
     out_dir = tmp_path / "run"
@@ -287,6 +312,20 @@ def test_cli_evolve_non_finite_parameters_exit_2(flag, tmp_path, capsys):
     assert err.startswith("error: epsilon and kappa must be finite")
     assert err.count("\n") == 1
     assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["evolve", "IERK1", "--theta", "1/2", "--tau", "0.05", "--kappa", "-inf"],
+     "argument --kappa: expected one argument"),
+    (["scan", "IERK2-1", "--symbol", "a33", "--lo", "-inf", "--hi", "1", "--c2", "1"],
+     "argument --lo: expected one argument"),
+    (["scan", "IERK2-1", "--lo", "0"], "the following arguments are required"),
+])
+def test_cli_parser_errors_are_one_line(args, message, capsys):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
 
 
 def test_cli_converge_divergent_rows_are_null(capsys):

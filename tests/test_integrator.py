@@ -122,10 +122,10 @@ def test_differential_form_residual_at_equilibrium(bench_sys):
 
 
 def test_differential_form_requires_autonomous():
-    from ierk.spectral import manufactured_source_values
+    from ierk.spectral import MANUFACTURED_SOURCE
 
     sys = SpectralSystem(SpectralGrid(0.0, TWO_PI, 64), epsilon=0.2, kappa=0.0,
-                         source=manufactured_source_values)
+                         source=MANUFACTURED_SOURCE)
     tab = registry("IERK1", {"theta": 1})
     rec = step(sys, tab, Field(values=np.sin(sys.grid.x)), 0.0, 0.1)
     with pytest.raises(ValueError):
@@ -243,10 +243,10 @@ def test_stage_energy_law_short_run():
 
 def test_manufactured_convergence_order_two():
     # quick three-point order check on the forced problem
-    from ierk.spectral import decaying_sine, manufactured_source_values
+    from ierk.spectral import MANUFACTURED_SOURCE, decaying_sine
 
     sys = SpectralSystem(SpectralGrid(0.0, TWO_PI, 256), epsilon=0.2, kappa=0.0,
-                         source=manufactured_source_values)
+                         source=MANUFACTURED_SOURCE)
     tab = registry("IERK2-2", {"a33": (1 + math.sqrt(2)) / 4})
     errs = []
     for tau in (0.05, 0.025, 0.0125):
@@ -259,3 +259,76 @@ def test_manufactured_convergence_order_two():
         errs.append(worst)
     orders = [math.log2(errs[i - 1] / errs[i]) for i in (1, 2)]
     assert orders[-1] == pytest.approx(2.0, abs=0.15)
+
+
+FORCED_CASES = [("IERK2-2", {"a33": 0.61}), ("IERK3-2", {"a43": F(-3, 5)}), ("IERK4-A1", {})]
+
+
+def _nodal_manufactured_forcing(sys, t):
+    # the forcing of e^{-t} sin x, written out pointwise
+    x = sys.grid.x
+    e1, e3 = math.exp(-t), math.exp(-3.0 * t)
+    return (sys.epsilon**2 - 2.0) * e1 * np.sin(x) + 0.75 * e3 * (np.sin(x) - 3.0 * np.sin(3.0 * x))
+
+
+def _forced_step_reference(sys, tab, u_vals, t, tau):
+    """Stage half spectra of one forced step; the forcing is evaluated on the
+    nodes and transformed at every stage time."""
+    c, A, Ah = tab.float_arrays()
+    half = sys.grid.m // 2 + 1
+    ml = sys.mobility_stiff_symbol[:half]
+    mob = sys.mobility_symbol[:half]
+    spectra, explicit, vals = [np.fft.rfft(u_vals)], [], u_vals
+    for i in range(1, tab.s):
+        f = _nodal_manufactured_forcing(sys, t + c[i - 1] * tau)
+        explicit.append(mob * np.fft.rfft(sys.nonlinearity(vals, stabilized=True)) - np.fft.rfft(f))
+        rhs = spectra[0].copy()
+        for j in range(i):
+            rhs += tau * A[i, j] * ml * spectra[j] - tau * Ah[i, j] * explicit[j]
+        spectra.append(rhs / (1.0 - tau * A[i, i] * ml))
+        vals = np.fft.irfft(spectra[-1], sys.grid.m)
+    return np.array(spectra)
+
+
+@pytest.mark.parametrize("name,params", FORCED_CASES)
+def test_forced_step_matches_nodal_source_reference(name, params, rng):
+    from ierk.spectral import MANUFACTURED_SOURCE
+
+    sys = SpectralSystem(SpectralGrid(0.0, TWO_PI, 256), epsilon=0.2, kappa=1.0,
+                         source=MANUFACTURED_SOURCE)
+    tab = registry(name, params)
+    u0 = Field(values=np.sin(sys.grid.x) + _smooth_field(rng, sys.grid).values)
+    for t, tau in ((0.0, 0.05), (0.7, 0.2)):
+        ref = _forced_step_reference(sys, tab, u0.values, t, tau)
+        got = step(sys, tab, u0, t, tau).stage_spectra[:, : ref.shape[1]]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name,params", FORCED_CASES)
+def test_forced_step_makes_no_source_transform(name, params, monkeypatch):
+    from ierk import integrator
+    from ierk.spectral import MANUFACTURED_SOURCE
+
+    grid = SpectralGrid(0.0, TWO_PI, 64)
+    free = SpectralSystem(grid, epsilon=0.2, kappa=0.0)
+    forced = SpectralSystem(grid, epsilon=0.2, kappa=0.0, source=MANUFACTURED_SOURCE)
+    tab = registry(name, params)
+    u0 = Field(values=np.sin(grid.x))
+    calls = {"rfft": 0, "source_values": 0}
+    rfft = np.fft.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls["rfft"] += 1
+        return rfft(*args, **kwargs)
+
+    def counting_source_values(self, t):
+        calls["source_values"] += 1
+
+    monkeypatch.setattr(integrator.np.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(SpectralSystem, "source_values", counting_source_values)
+    counts = []
+    for sys in (free, forced):
+        calls.update(rfft=0, source_values=0)
+        step(sys, tab, u0, 0.3, 0.1)
+        counts.append(dict(calls))
+    assert counts == [{"rfft": tab.s - 1, "source_values": 0}] * 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ierk.spectral import (
+    MANUFACTURED_SOURCE,
     Field,
     SpectralGrid,
     SpectralSystem,
@@ -186,6 +187,19 @@ def test_manufactured_source_at_eps_zero():
     x = sys.grid.x
     expected = -1.25 * np.sin(x) - 2.25 * np.sin(3 * x)
     assert np.allclose(manufactured_source(sys, 0.0).values, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [32, 256])
+@pytest.mark.parametrize("domain", [(0.0, TWO_PI), (-math.pi, math.pi)])
+def test_source_spectrum_matches_nodal_forcing(m, domain):
+    sys = SpectralSystem(SpectralGrid(*domain, m), epsilon=0.2, kappa=1.0,
+                         source=MANUFACTURED_SOURCE)
+    for t in (0.0, 0.4, 2.0):
+        nodal = manufactured_source(sys, t).values
+        assert np.abs(sys.source_spectrum(t) - np.fft.rfft(nodal)).max() <= 1e-13
+        assert np.abs(sys.source_values(t) - nodal).max() <= 1e-14
+    free = SpectralSystem(SpectralGrid(*domain, m), epsilon=0.2)
+    assert free.source_spectrum(0.0) is None and free.source_values(0.0) is None
 
 
 def test_steady_states_of_variational_derivative():
