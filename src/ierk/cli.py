@@ -19,6 +19,7 @@ or parameters.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import json
 import os
@@ -69,6 +70,32 @@ def _parse_extra_params(extras):
     return params
 
 
+def _split_params(ap, argv):
+    """Split argv into (argparse's tokens, method-parameter tokens).
+
+    A `--name` flag is a method parameter when no option of its subcommand
+    starts with `--name`, so argparse would not know it either. Taking its
+    value here, rather than after argparse, keeps that value from filling the
+    optional METHOD positional (`evolve --config cfg.json --theta 1/2`).
+    """
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
+    sub = ap.commands.get(command)
+    if sub is None:
+        return list(argv), []
+    options = sub._option_string_actions
+    rest, params = [], []
+    tokens = iter(argv)
+    for tok in tokens:
+        flag = tok.split("=", 1)[0]
+        if len(flag) > 2 and flag.startswith("--") and not any(o.startswith(flag) for o in options):
+            params.append(tok)
+            if "=" not in tok:
+                params.extend(itertools.islice(tokens, 1))
+        else:
+            rest.append(tok)
+    return rest, params
+
+
 def _merge_config(args, keys):
     cfg = dict(harness.load_config(args.config)) if getattr(args, "config", None) else {}
     for key in keys:
@@ -79,7 +106,7 @@ def _merge_config(args, keys):
         cfg["tableau_file"] = args.tableau
     extra = {**_parse_params(getattr(args, "p", None)), **getattr(args, "extra_params", {})}
     if extra:
-        cfg["params"] = {**cfg.get("params", {}), **extra}
+        cfg["params"] = {**(cfg.get("params") or {}), **extra}
     return cfg
 
 
@@ -110,6 +137,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     ap = _Parser(prog="ierk", description="IMEX Runge-Kutta energy-dissipation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices
 
     p = sub.add_parser("verify", help="check order conditions")
     _add_common(p)
@@ -152,8 +180,9 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args, extras = ap.parse_known_args(argv)
-        args.extra_params = _parse_extra_params(extras)
+        rest, params = _split_params(ap, _sys.argv[1:] if argv is None else argv)
+        args, extras = ap.parse_known_args(rest)
+        args.extra_params = _parse_extra_params(params + extras)
         return _dispatch(args)
     except IerkError as exc:
         print(f"error: {exc}", file=_sys.stderr)

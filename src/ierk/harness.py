@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,20 +41,70 @@ DEFAULT_CONFIG = {
     "record_stages": False,
 }
 
-#: Every key an experiment config may hold; "experiment" only labels it.
-CONFIG_KEYS = frozenset(DEFAULT_CONFIG) | {
-    "experiment", "method", "params", "tableau_file", "tau", "tau_grid", "reference",
+
+def _number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _numbers(x) -> bool:
+    return isinstance(x, (list, tuple)) and all(map(_number, x))
+
+
+_NUMBER = (_number, "a number")
+_TEXT = (lambda x: x is None or isinstance(x, str), "a string")
+
+#: The scene of an energy-decay run (`run_evolve` and its reference run).
+EVOLVE_DEFAULTS = {**DEFAULT_CONFIG, "domain": (-math.pi, math.pi), "epsilon": 0.1,
+                   "initial": "tanh-bumps", "t_final": 150.0}
+
+#: Every key an experiment config may hold, with a check of its value and
+#: what the check expects; "experiment" only labels the config.
+CONFIG_SCHEMA = {
+    "domain": (lambda x: _numbers(x) and len(x) == 2, "a pair of numbers"),
+    "m": (lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool), "an integer"),
+    "epsilon": _NUMBER,
+    "kappa": _NUMBER,
+    "source": _TEXT,
+    "initial": _TEXT,
+    "t_final": _NUMBER,
+    "record_stages": (lambda x: isinstance(x, bool), "true or false"),
+    "experiment": _TEXT,
+    "method": _TEXT,
+    "params": (lambda x: x is None or isinstance(x, Mapping) and all(
+        _number(v) or isinstance(v, str) for v in x.values()), "an object of numbers or strings"),
+    "tableau_file": _TEXT,
+    "tau": _NUMBER,
+    "tau_grid": (_numbers, "a list of numbers"),
+    "reference": (lambda x: x is None or isinstance(x, Mapping), "an object"),
 }
 
+#: The keys of the `reference` sub-config, which `reference_trace` reads.
+REFERENCE_KEYS = ("method", "params", "tau")
 
-def check_config_keys(cfg: Mapping) -> None:
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
+
+def _check_keys(cfg: Mapping, allowed, where: str) -> None:
+    unknown = sorted(set(cfg) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+        raise ValueError(f"unknown {where}key {', '.join(map(repr, unknown))}")
+    for key, value in cfg.items():
+        valid, expected = CONFIG_SCHEMA[key]
+        if not valid(value):
+            raise ValueError(f"{where}key {key!r} must be {expected}, got {value!r}")
+
+
+def check_config(cfg: Mapping) -> None:
+    """Reject unknown keys and values of the wrong type, in the config and in
+    its `reference` sub-config, with a one-line ValueError."""
+    _check_keys(cfg, CONFIG_SCHEMA, "config ")
+    ref = cfg.get("reference")
+    if ref:
+        _check_keys(ref, REFERENCE_KEYS, "reference config ")
+        if not ref.get("method"):
+            raise ValueError("reference config needs a 'method'")
 
 
 def build_system(cfg: Mapping) -> SpectralSystem:
-    check_config_keys(cfg)
+    check_config(cfg)
     lo, hi = cfg.get("domain", DEFAULT_CONFIG["domain"])
     grid = SpectralGrid(float(lo), float(hi), int(cfg.get("m", 256)))
     source_key = cfg.get("source", "none")
@@ -259,8 +310,7 @@ def run_evolve(cfg: Mapping) -> tuple:
     run is configured) the trapezoidal deviation integral(|E - E_ref|) dt on
     the coarse time grid. final_field is None when the run diverged.
     """
-    cfg = {**DEFAULT_CONFIG, "domain": (-math.pi, math.pi), "epsilon": 0.1,
-           "initial": "tanh-bumps", "t_final": 150.0, **cfg}
+    cfg = {**EVOLVE_DEFAULTS, **cfg}
     sys = build_system(cfg)
     tab = resolve_method(cfg)
     tau = float(cfg["tau"])
@@ -301,31 +351,20 @@ _REFERENCE_CACHE: dict = {}
 
 
 def reference_trace(cfg: Mapping, ref_cfg: Mapping) -> EnergyTrace:
-    """Fine-step reference energy trace; cached per (scene, reference) key."""
-    ref_tau = float(ref_cfg.get("tau", 1e-3))
-    key = (
-        tuple(cfg.get("domain", (-math.pi, math.pi))),
-        int(cfg.get("m", 256)),
-        float(cfg.get("epsilon", 0.1)),
-        float(cfg.get("kappa", 0.0)),
-        cfg.get("initial", "tanh-bumps"),
-        float(cfg.get("t_final", 150.0)),
-        ref_cfg["method"],
-        tuple(sorted((k, str(v)) for k, v in (ref_cfg.get("params") or {}).items())),
-        ref_tau,
-    )
+    """Fine-step reference energy trace of the run `cfg` describes, with the
+    method, parameters and step of `ref_cfg`; cached per resulting config."""
+    sub = {**EVOLVE_DEFAULTS, **cfg, "method": ref_cfg["method"],
+           "params": ref_cfg.get("params") or {}, "tau": float(ref_cfg.get("tau", 1e-3)),
+           "record_stages": False}
+    sub.pop("reference", None)
+    sub.pop("tableau_file", None)
+    key = repr(sorted(sub.items()))
     if key not in _REFERENCE_CACHE:
-        sub = {**DEFAULT_CONFIG, "domain": (-math.pi, math.pi), "epsilon": 0.1,
-               "initial": "tanh-bumps", "t_final": 150.0, **cfg,
-               "method": ref_cfg["method"], "params": ref_cfg.get("params") or {},
-               "tau": ref_tau, "record_stages": False}
-        sub.pop("reference", None)
-        sub.pop("tableau_file", None)
         sys = build_system(sub)
         tab = resolve_method(sub)
-        n = round(float(sub["t_final"]) / ref_tau)
+        n = round(float(sub["t_final"]) / sub["tau"])
         u0 = spectral.initial_field(sys.grid, sub["initial"])
-        _, trace = evolve(sys, tab, u0, ref_tau, n)
+        _, trace = evolve(sys, tab, u0, sub["tau"], n)
         _REFERENCE_CACHE[key] = trace
     return _REFERENCE_CACHE[key]
 
@@ -476,7 +515,7 @@ def load_config(path) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    check_config_keys(cfg)
+    check_config(cfg)
     return cfg
 
 

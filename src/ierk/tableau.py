@@ -696,19 +696,33 @@ def _family(name: str, symbols) -> MethodFamily:
     return family
 
 
+class _FloatGrid(np.ndarray):
+    """A float array that meets Fraction operands as floats.
+
+    `Fraction - ndarray` would otherwise make numpy wrap the Fraction as an
+    object scalar and do every element in Python; the result is the same,
+    since Fraction arithmetic with a float is float(Fraction) op float.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [float(x) if isinstance(x, Fraction) else
+                  x.view(np.ndarray) if isinstance(x, _FloatGrid) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs).view(_FloatGrid)
+
+
 def family_batch(name: str, symbol: str, values: np.ndarray, fixed: Mapping):
     """Float tableaux of a family along a 1-D array of values of one symbol.
 
-    The family is built once, with `values` in place of `symbol` and every
-    `fixed` parameter as a constant float array. Returns the stacked
-    (n, s, s) arrays (A, A_hat) and a mask of the points that pass
-    `validate_tableau`'s invariants at FLOAT_TOL with finite entries; the
-    degenerate points of a family give infinities or a zero explicit
-    subdiagonal, so they fail it.
+    The family is built once, in float64 arithmetic, with `values` in place
+    of `symbol` and every `fixed` parameter as a constant float array.
+    Returns the stacked (n, s, s) arrays (A, A_hat) and a mask of the points
+    that pass `validate_tableau`'s invariants at FLOAT_TOL with finite
+    entries; the degenerate points of a family give infinities or a zero
+    explicit subdiagonal, so they fail it.
     """
     n = len(values)
-    params = {k: np.full(n, float(as_scalar(v))) for k, v in fixed.items()}
-    params[symbol] = values
+    params = {k: np.full(n, float(as_scalar(v))).view(_FloatGrid) for k, v in fixed.items()}
+    params[symbol] = np.asarray(values, dtype=float).view(_FloatGrid)
     family = _family(name, params)
 
     def col(x):

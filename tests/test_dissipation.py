@@ -17,7 +17,7 @@ from ierk.dissipation import (
     scan_parameter,
 )
 from ierk.errors import DegenerateParameters, InvalidTableau
-from ierk.tableau import registry, reduced_matrices
+from ierk.tableau import family_batch, registry, reduced_matrices
 
 from conftest import REGISTRY_CASES
 
@@ -428,6 +428,47 @@ def test_scan_matches_pointwise_reference(family, symbol, lo, hi, step, fixed, t
     assert res.skipped == skipped
     assert all(type(v) is float for v in res.values)
     assert all(v is None or type(v) is bool for v in res.verdicts)
+
+
+@pytest.mark.parametrize("family, symbol, lo, hi, step, fixed, target, degenerate", PARITY_SCANS)
+def test_family_batch_rows_equal_registry(family, symbol, lo, hi, step, fixed, target,
+                                          degenerate):
+    # the batch takes fixed parameters as floats, so the reference does too
+    fixed = {k: float(v) for k, v in (fixed or {}).items()}
+    grid = lo + np.arange(int(math.floor((hi - lo) / step + 1.5))) * step
+    A, A_hat, ok = family_batch(family, symbol, grid, fixed)
+    assert A.dtype == A_hat.dtype == np.float64
+    assert type(A) is type(A_hat) is np.ndarray
+    for i, v in enumerate(grid.tolist()):
+        try:
+            _, A_ref, A_hat_ref = registry(family, {**fixed, symbol: v}).float_arrays()
+        except (DegenerateParameters, InvalidTableau):
+            assert not ok[i], v
+            continue
+        assert ok[i], v
+        assert (A[i] == A_ref).all() and (A_hat[i] == A_hat_ref).all(), v
+
+
+@pytest.mark.parametrize("family, symbol, lo", [
+    ("IERK3-1", "a55", 0.5), ("IERK3-2", "a43", -1.0), ("IERK3-Radau", "ahat43", 0.4),
+    ("IERK3-4stage", "a22", -1.0), ("IERK2-1", "c2", 0.5),
+])
+def test_family_batch_fraction_conversions_do_not_grow_with_grid(monkeypatch, family, symbol, lo):
+    fixed = {"a33": F(1, 2)} if family == "IERK2-1" else {}
+    to_float = F.__float__
+    count = [0]
+
+    def counting(self):
+        count[0] += 1
+        return to_float(self)
+
+    monkeypatch.setattr(F, "__float__", counting)
+    counts = []
+    for n in (10, 1000):
+        count[0] = 0
+        family_batch(family, symbol, lo + np.arange(n) * 1e-3, fixed)
+        counts.append(count[0])
+    assert counts[0] == counts[1]
 
 
 def test_scan_rejects_bad_symbols_and_bounds():

@@ -175,6 +175,60 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert not (out_dir / "report.json").exists()
 
 
+_EVOLVE_CFG = {"method": "IERK1", "params": {"theta": 0.5}, "tau": 0.1, "t_final": 0.5, "m": 32}
+
+
+@pytest.mark.parametrize("extra, flags, message", [
+    ({"domain": 5}, [], "config key 'domain' must be a pair of numbers, got 5"),
+    ({"domain": [[0], 1]}, [], "config key 'domain' must be a pair of numbers"),
+    ({"params": [1]}, ["--p", "theta=1/2"], "config key 'params' must be an object"),
+    ({"params": {"theta": [1]}}, [], "config key 'params' must be an object"),
+    ({"m": "32"}, [], "config key 'm' must be an integer"),
+    ({"initial": ["sine"]}, [], "config key 'initial' must be a string"),
+    ({"record_stages": 1}, [], "config key 'record_stages' must be true or false"),
+    ({"reference": [1]}, [], "config key 'reference' must be an object, got [1]"),
+    ({"reference": {"method": "IERK1", "params": {"theta": 0.5}, "tua": 0.05}}, [],
+     "unknown reference config key 'tua'"),
+    ({"reference": {"method": "IERK1", "tau": "0.05"}}, [],
+     "reference config key 'tau' must be a number"),
+    ({"reference": {"params": {"theta": 0.5}}}, [], "reference config needs a 'method'"),
+])
+def test_cli_config_value_of_wrong_type_exits_2(extra, flags, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_EVOLVE_CFG, **extra}))
+    out_dir = tmp_path / "run"
+    assert main(["evolve", "--config", str(path), *flags, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not (out_dir / "report.json").exists()
+
+
+def test_config_params_null_means_none(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_EVOLVE_CFG, "params": None}))
+    assert main(["evolve", "--config", str(path), "--p", "theta=1/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"theta": "1/2"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "IERK1", "--theta", "1/2"],
+    ["evolve", "IERK1", "--theta=1/2"],
+    ["evolve", "--config", "{cfg}", "--theta", "1/2"],
+    ["evolve", "--theta", "1/2", "--config", "{cfg}"],
+])
+def test_cli_parameter_flag_forms_agree(argv, tmp_path, capsys):
+    cfg = {k: v for k, v in _EVOLVE_CFG.items() if k != "params"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    scene = ["--tau", "0.1", "--t-final", "0.5", "--m", "32"]
+    assert main(["evolve", "IERK1", "--p", "theta=1/2", *scene]) == 0
+    expected = capsys.readouterr().out
+    argv = [str(path) if a == "{cfg}" else a for a in argv]
+    assert main(argv + ([] if "--config" in argv else scene)) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_run_evolve_divergence_flag():
     cfg = {"method": "IERK3-4stage", "params": {"a22": 1}, "tau": 0.01,
            "kappa": 4.0, "t_final": 30.0}
