@@ -28,6 +28,9 @@ from .tableau import ImexTableau, check_order_conditions, load_tableau, registry
 #: excluded from observed-order estimates.
 ERROR_FLOOR = 1e-10
 
+#: Most steps one run may take; a run keeps O(steps * s) floats of trace.
+MAX_STEPS = 10**6
+
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_CONFIG = {
@@ -120,6 +123,21 @@ def build_system(cfg: Mapping) -> SpectralSystem:
     return SpectralSystem(grid=grid, epsilon=epsilon, kappa=kappa, source=source)
 
 
+def step_count(t_final: float, tau: float, key: str = "tau") -> int:
+    """Steps of size tau (config key `key`) to reach t_final, rounded to the
+    nearest count; a one-line ValueError names the key that is out of range."""
+    if not tau > 0:
+        raise ValueError(f"{key} must be positive")
+    if not math.isfinite(tau):
+        raise ValueError(f"{key} must be finite, got {tau}")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    ratio = t_final / tau
+    if ratio > MAX_STEPS:
+        raise ValueError(f"t_final / {key} = {ratio:.3g} steps; at most {MAX_STEPS} are allowed")
+    return round(ratio)
+
+
 def resolve_method(cfg: Mapping) -> ImexTableau:
     if cfg.get("tableau_file"):
         return load_tableau(cfg["tableau_file"])
@@ -194,15 +212,14 @@ def run_rate_table(rows: Sequence = DEFAULT_RATE_ROWS) -> list:
     out = []
     for name, params in rows:
         tab = registry(name, params)
-        intercept, slope = dissipation.average_rate(tab)
         cert = dissipation.certify(tab)
         scale = _TABLE_SLOPE_SCALE.get(name, 1.0)
         out.append(
             {
                 "method": name,
                 "params": {k: str(v) for k, v in tab.params.items()},
-                "intercept": float(intercept),
-                "slope": float(slope) * scale,
+                "intercept": cert.rate_intercept,
+                "slope": cert.rate_slope * scale,
                 "certified": cert.certified,
             }
         )
@@ -260,14 +277,17 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
     tab = resolve_method(cfg)
     t_final = float(cfg["t_final"])
     taus = [float(t) for t in cfg["tau_grid"]]
+    if not taus:
+        raise ValueError("tau_grid must hold at least one step size")
     if any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])):
         raise ValueError("tau grid must be strictly decreasing")
-    rows = []
-    prev = None
-    for tau in taus:
-        n = round(t_final / tau)
+    steps = [step_count(t_final, tau, "tau_grid entry") for tau in taus]
+    for tau, n in zip(taus, steps):
         if abs(n * tau - t_final) > 1e-9 * t_final:
             raise ValueError(f"tau={tau} does not divide t_final={t_final}")
+    rows = []
+    prev = None
+    for tau, n in zip(taus, steps):
         err = _max_norm_error(sys, tab, tau, n)
         order = None
         if prev is not None and math.isfinite(prev[1]) and math.isfinite(err) and err > 0:
@@ -314,8 +334,7 @@ def run_evolve(cfg: Mapping) -> tuple:
     sys = build_system(cfg)
     tab = resolve_method(cfg)
     tau = float(cfg["tau"])
-    t_final = float(cfg["t_final"])
-    n_steps = round(t_final / tau)
+    n_steps = step_count(float(cfg["t_final"]), tau)
     u0 = spectral.initial_field(sys.grid, cfg["initial"])
     diverged = False
     final = None
@@ -362,7 +381,7 @@ def reference_trace(cfg: Mapping, ref_cfg: Mapping) -> EnergyTrace:
     if key not in _REFERENCE_CACHE:
         sys = build_system(sub)
         tab = resolve_method(sub)
-        n = round(float(sub["t_final"]) / sub["tau"])
+        n = step_count(float(sub["t_final"]), sub["tau"], "reference tau")
         u0 = spectral.initial_field(sys.grid, sub["initial"])
         _, trace = evolve(sys, tab, u0, sub["tau"], n)
         _REFERENCE_CACHE[key] = trace

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
@@ -71,10 +71,7 @@ class ImexTableau:
     """Paired implicit/explicit Butcher tableaux with shared abscissas.
 
     `c`, `A` and `A_hat` are tuples of Fraction or float entries; `b` and
-    `b_hat` are the last rows of `A` and `A_hat`. `outside_certified_range`
-    is a warning flag set by the registry when the parameters fall outside
-    the family's known unconditional-dissipation range (the tableau is still
-    a valid Runge-Kutta method, so construction does not fail).
+    `b_hat` are the last rows of `A` and `A_hat`.
     """
 
     name: str
@@ -82,7 +79,6 @@ class ImexTableau:
     A: tuple
     A_hat: tuple
     formal_order: Optional[int] = None
-    outside_certified_range: Optional[bool] = None
     params: Mapping[str, Scalar] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -126,16 +122,16 @@ class ImexTableau:
         """(c, A, A_hat) as float ndarrays; cached per tableau."""
         return _float_arrays(self)
 
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "s": self.s,
-            "kind": self.kind,
-            "formal_order": self.formal_order,
-            "exact": self.exact,
-            "params": {k: str(v) for k, v in self.params.items()},
-            "outside_certified_range": self.outside_certified_range,
-        }
+    @cached_property
+    def outside_certified_range(self) -> bool:
+        """Warning flag: `certify` does not certify this tableau.
+
+        The tableau is still a valid Runge-Kutta method, so construction does
+        not fail; the certificate is built on first read.
+        """
+        from .dissipation import certify
+
+        return not certify(self).certified
 
 
 @lru_cache(maxsize=512)
@@ -618,61 +614,27 @@ def _build_ierk4_a2():
     return c, _rows_to_matrix(c, arows), _rows_to_matrix(c, ahrows)
 
 
-def _range_ierk1(p):
-    return float(p["theta"]) >= 0.5 - FLOAT_TOL
-
-
-def _range_ierk2_1(p):
-    c2, a33 = float(p["c2"]), float(p["a33"])
-    if not (1 - _SQRT2 / 2 < c2 < 1 + _SQRT2 / 2):
-        return False
-    return a33 >= 1.0 / (2 * (4 * c2 - 2 * c2 * c2 - 1)) - FLOAT_TOL
-
-
-def _range_ierk2_2(p):
-    return float(p["a33"]) >= (1 + _SQRT2) / 4 - FLOAT_TOL
-
-
-def _range_ierk2_radau(p):
-    c2 = float(p["c2"])
-    return 1.0 < c2 <= (1 + _SQRT2 + math.sqrt(1 + 2 * _SQRT2)) / 2 + FLOAT_TOL
-
-
-# Closed-interval endpoints quoted to six digits by the method constructions.
-def _range_ierk3_1(p):
-    return 0.717374 - 1e-6 <= float(p["a55"]) <= 1.74727 + 1e-5
-
-
-def _range_ierk3_2(p):
-    return -0.633312 - 1e-6 <= float(p["a43"]) <= -0.371114 + 1e-6
-
-
-def _range_ierk3_radau(p):
-    return 0.598442 - 1e-6 <= float(p["ahat43"]) <= 1.05134 + 1e-5
-
-
 @dataclass(frozen=True)
 class MethodFamily:
     name: str
     formal_order: int
     free_symbols: tuple
     build: Callable
-    certified_range: Optional[Callable] = None
 
 
 FAMILIES = {
     f.name: f
     for f in (
-        MethodFamily("IERK1", 1, ("theta",), _build_ierk1, _range_ierk1),
-        MethodFamily("IERK2-1", 2, ("c2", "a33"), _build_ierk2_1, _range_ierk2_1),
-        MethodFamily("IERK2-2", 2, ("a33",), _build_ierk2_2, _range_ierk2_2),
-        MethodFamily("IERK2-Radau", 2, ("c2",), _build_ierk2_radau, _range_ierk2_radau),
-        MethodFamily("IERK3-4stage", 3, ("a22",), _build_ierk3_4stage, lambda p: False),
-        MethodFamily("IERK3-1", 3, ("a55",), _build_ierk3_1, _range_ierk3_1),
-        MethodFamily("IERK3-2", 3, ("a43",), _build_ierk3_2, _range_ierk3_2),
-        MethodFamily("IERK3-Radau", 3, ("ahat43",), _build_ierk3_radau, _range_ierk3_radau),
-        MethodFamily("IERK4-A1", 4, (), _build_ierk4_a1, lambda p: True),
-        MethodFamily("IERK4-A2", 4, (), _build_ierk4_a2, lambda p: True),
+        MethodFamily("IERK1", 1, ("theta",), _build_ierk1),
+        MethodFamily("IERK2-1", 2, ("c2", "a33"), _build_ierk2_1),
+        MethodFamily("IERK2-2", 2, ("a33",), _build_ierk2_2),
+        MethodFamily("IERK2-Radau", 2, ("c2",), _build_ierk2_radau),
+        MethodFamily("IERK3-4stage", 3, ("a22",), _build_ierk3_4stage),
+        MethodFamily("IERK3-1", 3, ("a55",), _build_ierk3_1),
+        MethodFamily("IERK3-2", 3, ("a43",), _build_ierk3_2),
+        MethodFamily("IERK3-Radau", 3, ("ahat43",), _build_ierk3_radau),
+        MethodFamily("IERK4-A1", 4, (), _build_ierk4_a1),
+        MethodFamily("IERK4-A2", 4, (), _build_ierk4_a2),
     )
 }
 
@@ -720,6 +682,8 @@ def family_batch(name: str, symbol: str, values: np.ndarray, fixed: Mapping):
     entries; the degenerate points of a family give infinities or a zero
     explicit subdiagonal, so they fail it.
     """
+    if symbol in fixed:
+        raise DegenerateParameters(f"{name}: {symbol} is scanned, so it cannot be fixed too")
     n = len(values)
     params = {k: np.full(n, float(as_scalar(v))).view(_FloatGrid) for k, v in fixed.items()}
     params[symbol] = np.asarray(values, dtype=float).view(_FloatGrid)
@@ -756,16 +720,12 @@ def registry(name: str, params: Optional[Mapping] = None) -> ImexTableau:
         c, A, Ah = family.build(*(values[k] for k in family.free_symbols))
     except ZeroDivisionError as exc:
         raise DegenerateParameters(f"{name}: {exc}") from exc
-    outside = None
-    if family.certified_range is not None:
-        outside = not family.certified_range(values)
     return ImexTableau(
         name=name,
         c=c,
         A=A,
         A_hat=Ah,
         formal_order=family.formal_order,
-        outside_certified_range=outside,
         params=values,
     )
 

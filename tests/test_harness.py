@@ -204,6 +204,32 @@ def test_cli_config_value_of_wrong_type_exits_2(extra, flags, message, tmp_path,
     assert not (out_dir / "report.json").exists()
 
 
+_CONVERGE_CFG = {"method": "IERK1", "params": {"theta": 0.5}, "m": 32, "tau_grid": [0.1]}
+
+
+@pytest.mark.parametrize("command, cfg, flags, message", [
+    ("evolve", _EVOLVE_CFG, ["--tau", "0"], "tau must be positive"),
+    ("evolve", {**_EVOLVE_CFG, "tau": math.inf}, [], "tau must be finite, got inf"),
+    ("evolve", {**_EVOLVE_CFG, "t_final": -1}, [], "t_final must be finite and >= 0, got -1"),
+    ("evolve", {**_EVOLVE_CFG, "t_final": math.nan}, [], "t_final must be finite and >= 0"),
+    ("evolve", {**_EVOLVE_CFG, "t_final": 1e9}, [], "t_final / tau = 1e+10 steps; at most"),
+    ("evolve", {**_EVOLVE_CFG, "t_final": 1e300}, [], "t_final / tau = 1e+301 steps; at most"),
+    ("evolve", {**_EVOLVE_CFG, "reference": {"method": "IERK1", "params": {"theta": 0.5},
+                                             "tau": 0}}, [], "reference tau must be positive"),
+    ("converge", _CONVERGE_CFG, ["--tau-grid", "0.1,0"], "tau_grid entry must be positive"),
+    ("converge", {**_CONVERGE_CFG, "tau_grid": []}, [], "tau_grid must hold at least one"),
+])
+def test_cli_bad_step_count_exits_2(command, cfg, flags, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "run"
+    assert main([command, "--config", str(path), *flags, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not (out_dir / "report.json").exists()
+
+
 def test_config_params_null_means_none(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**_EVOLVE_CFG, "params": None}))
@@ -344,6 +370,8 @@ def test_cli_scan_bad_step_exits_2(step, capsys):
     (["IERK3-1", "--symbol", "a55", "--lo", "0.5", "--hi", "inf"], "scan bounds must be finite"),
     (["IERK2-1", "--symbol", "a33", "--lo", "0", "--hi", "1", "--c2", "0"],
      "every point of the IERK2-1 scan over a33 is degenerate"),
+    (["IERK3-1", "--symbol", "a55", "--lo", "0.5", "--hi", "1", "--a55", "3"],
+     "IERK3-1: a55 is scanned, so it cannot be fixed too"),
 ])
 def test_cli_scan_bad_symbol_or_bounds_exits_2(args, message, tmp_path, capsys):
     out_dir = tmp_path / "run"

@@ -132,6 +132,33 @@ def test_certified_range_warning_flag():
     assert registry("IERK1", {"theta": F(1, 4)}).outside_certified_range is True
     assert registry("IERK2-Radau", {"c2": F(9, 10)}).outside_certified_range is True
     assert registry("IERK4-A1").outside_certified_range is False
+    # just past the six-digit interval ends, where certify already rejects
+    assert registry("IERK3-1", {"a55": 1.74728}).outside_certified_range is True
+    assert registry("IERK3-1", {"a55": 1.747275}).outside_certified_range is True
+    assert registry("IERK3-Radau", {"ahat43": 1.05135}).outside_certified_range is True
+    assert registry("IERK3-Radau", {"ahat43": 0.5984412}).outside_certified_range is True
+    assert registry("IERK3-2", {"a43": -0.6333125}).outside_certified_range is True
+
+
+def test_certified_range_flag_certifies_once_on_first_read(monkeypatch):
+    import ierk.dissipation as dissipation
+
+    calls = []
+    certify = dissipation.certify
+
+    def counting_certify(t, *args, **kwargs):
+        calls.append(t)
+        return certify(t, *args, **kwargs)
+
+    monkeypatch.setattr(dissipation, "certify", counting_certify)
+    t = registry("IERK3-1", {"a55": 0.5})
+    assert calls == []
+    assert t.outside_certified_range is True
+    assert t.outside_certified_range is True
+    assert calls == [t]
+    # a tableau read from a file gets the flag too
+    assert tableau_from_dict(tableau_to_dict(t)).outside_certified_range is True
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name,params", REGISTRY_CASES)
