@@ -81,8 +81,10 @@ CONFIG_SCHEMA = {
     "reference": (lambda x: x is None or isinstance(x, Mapping), "an object"),
 }
 
-#: The keys of the `reference` sub-config, which `reference_trace` reads.
+#: The keys of the `reference` sub-config, which `reference_trace` reads, and
+#: the reference step when it gives none.
 REFERENCE_KEYS = ("method", "params", "tau")
+REFERENCE_TAU = 1e-3
 
 
 def _check_keys(cfg: Mapping, allowed, where: str) -> None:
@@ -136,6 +138,12 @@ def step_count(t_final: float, tau: float, key: str = "tau") -> int:
     if ratio > MAX_STEPS:
         raise ValueError(f"t_final / {key} = {ratio:.3g} steps; at most {MAX_STEPS} are allowed")
     return round(ratio)
+
+
+def _required(cfg: Mapping, key: str):
+    if key not in cfg:
+        raise ValueError(f"config key {key!r} is missing")
+    return cfg[key]
 
 
 def resolve_method(cfg: Mapping) -> ImexTableau:
@@ -276,7 +284,7 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
     sys = build_system(cfg)
     tab = resolve_method(cfg)
     t_final = float(cfg["t_final"])
-    taus = [float(t) for t in cfg["tau_grid"]]
+    taus = [float(t) for t in _required(cfg, "tau_grid")]
     if not taus:
         raise ValueError("tau_grid must hold at least one step size")
     if any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])):
@@ -333,8 +341,13 @@ def run_evolve(cfg: Mapping) -> tuple:
     cfg = {**EVOLVE_DEFAULTS, **cfg}
     sys = build_system(cfg)
     tab = resolve_method(cfg)
-    tau = float(cfg["tau"])
+    tau = float(_required(cfg, "tau"))
     n_steps = step_count(float(cfg["t_final"]), tau)
+    ref_cfg = cfg.get("reference")
+    if ref_cfg:  # a reference step that cannot serve must not cost the main run first
+        ref_tau = float(ref_cfg.get("tau", REFERENCE_TAU))
+        step_count(float(cfg["t_final"]), ref_tau, "reference tau")
+        _reference_stride(tau, ref_tau)
     u0 = spectral.initial_field(sys.grid, cfg["initial"])
     diverged = False
     final = None
@@ -359,7 +372,6 @@ def run_evolve(cfg: Mapping) -> tuple:
         "max_increase": trace.max_increase,
         "max_relative_increase": trace.max_relative_increase,
     }
-    ref_cfg = cfg.get("reference")
     if ref_cfg and not diverged:
         ref_trace = reference_trace(cfg, ref_cfg)
         summary["energy_deviation"] = energy_deviation(trace, ref_trace, tau)
@@ -373,8 +385,8 @@ def reference_trace(cfg: Mapping, ref_cfg: Mapping) -> EnergyTrace:
     """Fine-step reference energy trace of the run `cfg` describes, with the
     method, parameters and step of `ref_cfg`; cached per resulting config."""
     sub = {**EVOLVE_DEFAULTS, **cfg, "method": ref_cfg["method"],
-           "params": ref_cfg.get("params") or {}, "tau": float(ref_cfg.get("tau", 1e-3)),
-           "record_stages": False}
+           "params": ref_cfg.get("params") or {},
+           "tau": float(ref_cfg.get("tau", REFERENCE_TAU)), "record_stages": False}
     sub.pop("reference", None)
     sub.pop("tableau_file", None)
     key = repr(sorted(sub.items()))
@@ -388,16 +400,20 @@ def reference_trace(cfg: Mapping, ref_cfg: Mapping) -> EnergyTrace:
     return _REFERENCE_CACHE[key]
 
 
-def energy_deviation(trace: EnergyTrace, ref: EnergyTrace, tau: float) -> float:
-    """Trapezoidal integral of |E - E_ref| sampled on the coarse time grid."""
-    if not len(trace):
-        return 0.0
-    ref_tau = ref.times[0]
+def _reference_stride(tau: float, ref_tau: float) -> int:
+    """Reference steps per step of size tau; a ValueError unless ref_tau divides tau."""
     ratio = tau / ref_tau
     stride = round(ratio)
     if abs(ratio - stride) > 1e-9 or stride < 1:
         raise ValueError(f"reference tau {ref_tau} does not divide tau {tau}")
-    idx = stride * np.arange(1, len(trace) + 1) - 1
+    return stride
+
+
+def energy_deviation(trace: EnergyTrace, ref: EnergyTrace, tau: float) -> float:
+    """Trapezoidal integral of |E - E_ref| sampled on the coarse time grid."""
+    if not len(trace):
+        return 0.0
+    idx = _reference_stride(tau, ref.times[0]) * np.arange(1, len(trace) + 1) - 1
     if idx[-1] >= len(ref.times):
         raise ValueError("reference trace shorter than the run")
     times = np.concatenate(([0.0], trace.times))

@@ -6,10 +6,12 @@ share the Fourier eigenbasis. The stiff operator enters through the full
 implicit tableau, the stabilized nonlinearity (and any forcing, evaluated at
 the stage abscissa times) through the strictly-lower explicit tableau.
 
-One kernel, built once per (system, tableau, tau), does all stepping: it
-checks and inverts the stage denominators up front, keeps the nonzero
-tableau entries as per-mode coefficients, and works on rfft half spectra
-because the fields are real. `evolve` and the harness's convergence loop
+One kernel, built once per (system, tableau, tau), does all stepping on rfft
+half spectra (the fields are real). It checks the stage denominators up front
+and reuses one buffer whose rows interleave stages and explicit terms, U_0,
+X_0, U_1, X_1, ..., U_{s-1}: stage i is one weighted sum of the first 2i rows
+with per-mode coefficients fixed at build time, and a step's stage energies
+come from one batched evaluation. `evolve` and the harness's convergence loop
 drive it on plain arrays; `step` wraps a single kernel step in a StepRecord
 with full spectra for callers that inspect the stages.
 """
@@ -83,60 +85,60 @@ class _StageKernel:
     """Stage recursion of one (system, tableau, tau), on rfft half spectra.
 
     Stage i solves (1 - tau a_ii ML_kappa) U_i = U_0 + tau sum_j a_ij ML_kappa U_j
-    - tau sum_j ahat_ij X_j with X_j = M g_kappa(U_j) - f(t + c_j tau). Every
-    per-mode coefficient comes pre-divided by the stage denominator, the U_0
-    one carrying the identity, and only nonzero tableau entries are kept.
+    - tau sum_j ahat_ij X_j with X_j = M g_kappa(U_j) - f(t + c_j tau), reading
+    rows z[:2i] of the half-spectrum buffer and writing row 2i; `nodal` holds
+    the nodal values of U_1 .. U_{s-1}. Every per-mode coefficient comes
+    pre-divided by the stage denominator, the U_0 one carrying the identity.
     """
 
     def __init__(self, sys: SpectralSystem, tab: ImexTableau, tau: float):
         if not tau > 0:
             raise ValueError("tau must be positive")
         c, A, Ah = tab.float_arrays()
-        self.half = sys.grid.m // 2 + 1
-        ml = sys.mobility_stiff_symbol[: self.half]
+        self.half = half = sys.grid.m // 2 + 1
+        ml = sys.mobility_stiff_symbol[:half]
         self.sys, self.tau, self.c = sys, tau, c
-        self.mob = sys.mobility_symbol[: self.half]
-        self.stages = []
+        self.mob = sys.mobility_symbol[:half]
+        self.coefs = []
         for i in range(1, tab.s):
             denom = 1.0 - (tau * A[i, i]) * ml
             if np.any(denom == 0.0):
                 raise NonInvertibleStage(
                     f"stage {i + 1} of {tab.name}: singular mode with a_ii={A[i, i]}, tau={tau}"
                 )
-            inv = 1.0 / denom
-            self.stages.append((
-                (1.0 + (tau * A[i, 0]) * ml) * inv,
-                [(j, (tau * A[i, j]) * ml * inv) for j in range(1, i) if A[i, j] != 0.0],
-                [(j, (tau * Ah[i, j]) * inv) for j in range(i) if Ah[i, j] != 0.0],
-            ))
+            coef = np.empty((2 * i, half))
+            coef[0::2] = (tau * A[i, :i, None]) * ml
+            coef[0] += 1.0
+            coef[1::2] = -tau * Ah[i, :i, None]
+            # one weight each for the real and the imaginary part of a mode
+            self.coefs.append(np.repeat(coef / denom, 2, axis=1))
+        self.z = np.empty((2 * tab.s - 1, half), dtype=complex)
+        self.flat = self.z.view(float)
+        self.nodal = np.empty((tab.s - 1, sys.grid.m))
 
     def step(self, u_hat, u_vals, t, energies=None):
         """Advance from half spectrum u_hat (nodal values u_vals) at time t.
 
-        Returns (stage half spectra, last stage's nodal values); when given,
+        Returns (stage half spectra, last stage's nodal values), both views
+        of the kernel's buffers that the next step overwrites; when given,
         energies[1:] receives the stage energies.
         """
-        sys, m = self.sys, self.sys.grid.m
+        sys, z, flat, m = self.sys, self.z, self.flat, self.sys.grid.m
         forced = sys.source is not None
-        spectra, forcing = [u_hat], []
+        z[0] = u_hat
         vals = u_vals
         # blow-ups surface as non-finite energies; keep them quiet here
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, (own, implicit, explicit) in enumerate(self.stages, start=1):
-                x = self.mob * np.fft.rfft(sys.nonlinearity(vals, stabilized=True))
+            for i, coef in enumerate(self.coefs, start=1):
+                x = np.fft.rfft(sys.nonlinearity(vals, stabilized=True), out=z[2 * i - 1])
+                x *= self.mob
                 if forced:
                     x -= sys.source_spectrum(t + self.c[i - 1] * self.tau)
-                forcing.append(x)
-                rhs = own * u_hat
-                for j, coef in implicit:
-                    rhs += coef * spectra[j]
-                for j, coef in explicit:
-                    rhs -= coef * forcing[j]
-                vals = np.fft.irfft(rhs, m)
-                spectra.append(rhs)
-                if energies is not None:
-                    energies[i] = energy_from_spectrum(sys, rhs, vals)
-        return spectra, vals
+                np.einsum("jk,jk->k", coef, flat[: 2 * i], out=flat[2 * i])
+                vals = np.fft.irfft(z[2 * i], m, out=self.nodal[i - 1])
+            if energies is not None:
+                energies[1:] = energy_from_spectrum(sys, z[2::2], self.nodal)
+        return z[::2], vals
 
 
 def step(
@@ -209,7 +211,7 @@ def evolve(
                 steps_completed=n + 1,
                 trace=trace,
             )
-    u = Field(values=vals) if n_steps else u0
+    u = Field(values=vals.copy()) if n_steps else u0
     trace = _build_trace(e_init, times, energies, stage_energies, max_inc, max_rel)
     return u, trace
 

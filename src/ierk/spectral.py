@@ -110,12 +110,13 @@ class SpectralSystem:
         k = self.grid.wavenumbers
         object.__setattr__(self, "_mob", -(k**2))
         object.__setattr__(self, "_stiff", (self.epsilon**2) * k**2)
-        # Parseval weights on the rfft half spectrum: interior modes stand for
-        # their conjugate twins as well
+        # h-scaled Parseval weights on the rfft half spectrum: interior modes
+        # stand for their conjugate twins as well
         half = self.grid.m // 2 + 1
         weights = np.full(half, 2.0)
         weights[[0, -1]] = 1.0
-        object.__setattr__(self, "_energy_weights", weights * self._stiff[:half] / (2 * self.grid.m))
+        weights *= self._stiff[:half] * (self.grid.h / (2 * self.grid.m))
+        object.__setattr__(self, "_energy_weights", weights)
         if self.source is not None:
             modes = [np.fft.rfft(f(self.grid.x)) for f in self.source.modes]
             object.__setattr__(self, "_source_modes", np.array(modes))
@@ -141,14 +142,7 @@ class SpectralSystem:
         return self._mob * (self._stiff + self.kappa)
 
     def nonlinearity(self, u: np.ndarray, stabilized: bool = False) -> np.ndarray:
-        g = u - u * u * u
-        if stabilized:
-            g = g + self.kappa * u
-        return g
-
-    def potential(self, u: np.ndarray) -> np.ndarray:
-        """Double-well density G(u) = (u^2 - 1)^2 / 4, nonnegative."""
-        return 0.25 * (u**2 - 1.0) ** 2
+        return u * ((1.0 + self.kappa if stabilized else 1.0) - u * u)
 
     def source_spectrum(self, t: float) -> Optional[np.ndarray]:
         """rfft half spectrum of the forcing at time t: amplitudes times mode spectra."""
@@ -190,16 +184,20 @@ def energy(sys: SpectralSystem, u: Field) -> float:
 
     E = h * ( (1/2) sum u * (L u) + sum G(u) ); the stiff part is evaluated
     through the spectrum (Parseval), the well pointwise. Nonnegative since L
-    is positive semi-definite and G >= 0.
+    is positive semi-definite and G(u) = (u^2 - 1)^2 / 4 >= 0.
     """
-    return energy_from_spectrum(sys, np.fft.rfft(u.values), u.values)
+    return float(energy_from_spectrum(sys, np.fft.rfft(u.values), u.values))
 
 
-def energy_from_spectrum(sys: SpectralSystem, half_spectrum: np.ndarray, values: np.ndarray) -> float:
-    """Energy from the rfft half spectrum and the nodal values of one field."""
-    stiff = float(np.vdot(half_spectrum, sys._energy_weights * half_spectrum).real)
-    bulk = float(sys.potential(values).sum())
-    return sys.grid.h * (stiff + bulk)
+def energy_from_spectrum(sys: SpectralSystem, half_spectrum: np.ndarray, values: np.ndarray):
+    """Energies from rfft half spectra and nodal values, one field per row of
+    any leading axes (a scalar for a single field)."""
+    # real and imaginary views: a strided spectrum is read in place, not copied
+    re, im, w = half_spectrum.real, half_spectrum.imag, sys._energy_weights
+    q = values * values
+    q -= 1.0
+    return (np.einsum("...k,...k,k->...", re, re, w) + np.einsum("...k,...k,k->...", im, im, w)
+            + (0.25 * sys.grid.h) * np.einsum("...k,...k->...", q, q))
 
 
 def lambda_ml_bar(sys: SpectralSystem) -> float:

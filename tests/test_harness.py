@@ -218,6 +218,10 @@ _CONVERGE_CFG = {"method": "IERK1", "params": {"theta": 0.5}, "m": 32, "tau_grid
                                              "tau": 0}}, [], "reference tau must be positive"),
     ("converge", _CONVERGE_CFG, ["--tau-grid", "0.1,0"], "tau_grid entry must be positive"),
     ("converge", {**_CONVERGE_CFG, "tau_grid": []}, [], "tau_grid must hold at least one"),
+    ("evolve", {k: v for k, v in _EVOLVE_CFG.items() if k != "tau"}, [],
+     "config key 'tau' is missing"),
+    ("converge", {k: v for k, v in _CONVERGE_CFG.items() if k != "tau_grid"}, [],
+     "config key 'tau_grid' is missing"),
 ])
 def test_cli_bad_step_count_exits_2(command, cfg, flags, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -228,6 +232,30 @@ def test_cli_bad_step_count_exits_2(command, cfg, flags, message, tmp_path, caps
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
     assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("ref_tau, message", [
+    (0.03, "reference tau 0.03 does not divide tau 0.05"),
+    (0, "reference tau must be positive"),
+])
+def test_run_evolve_checks_reference_before_main_run(ref_tau, message, monkeypatch):
+    calls, evolve = [], harness.evolve
+
+    def counting_evolve(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evolve", counting_evolve)
+    monkeypatch.setattr(harness, "_REFERENCE_CACHE", {})
+    cfg = {"method": "IERK1", "params": {"theta": 0.5}, "m": 32, "kappa": 2.0, "tau": 0.05,
+           "t_final": 1.0, "reference": {"method": "IERK1", "params": {"theta": 0.5},
+                                         "tau": ref_tau}}
+    with pytest.raises(ValueError, match=message):
+        run_evolve(cfg)
+    assert calls == []
+    # a reference step that divides tau runs both
+    run_evolve({**cfg, "reference": {**cfg["reference"], "tau": 0.025}})
+    assert len(calls) == 2
 
 
 def test_config_params_null_means_none(tmp_path, capsys):

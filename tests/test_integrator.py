@@ -271,23 +271,55 @@ def _nodal_manufactured_forcing(sys, t):
     return (sys.epsilon**2 - 2.0) * e1 * np.sin(x) + 0.75 * e3 * (np.sin(x) - 3.0 * np.sin(3.0 * x))
 
 
-def _forced_step_reference(sys, tab, u_vals, t, tau):
-    """Stage half spectra of one forced step; the forcing is evaluated on the
-    nodes and transformed at every stage time."""
+def _stage_loop_reference(sys, tab, u_vals, t, tau):
+    """Stage half spectra of one step by a plain loop over the tableau terms;
+    any forcing is evaluated on the nodes and transformed at every stage time."""
     c, A, Ah = tab.float_arrays()
     half = sys.grid.m // 2 + 1
     ml = sys.mobility_stiff_symbol[:half]
     mob = sys.mobility_symbol[:half]
     spectra, explicit, vals = [np.fft.rfft(u_vals)], [], u_vals
     for i in range(1, tab.s):
-        f = _nodal_manufactured_forcing(sys, t + c[i - 1] * tau)
-        explicit.append(mob * np.fft.rfft(sys.nonlinearity(vals, stabilized=True)) - np.fft.rfft(f))
+        # the stabilized double-well force, written out
+        x = mob * np.fft.rfft(vals - vals**3 + sys.kappa * vals)
+        if sys.source is not None:
+            x -= np.fft.rfft(_nodal_manufactured_forcing(sys, t + c[i - 1] * tau))
+        explicit.append(x)
         rhs = spectra[0].copy()
         for j in range(i):
             rhs += tau * A[i, j] * ml * spectra[j] - tau * Ah[i, j] * explicit[j]
         spectra.append(rhs / (1.0 - tau * A[i, i] * ml))
         vals = np.fft.irfft(spectra[-1], sys.grid.m)
     return np.array(spectra)
+
+
+def _direct_energy(sys, half_spectrum):
+    """Energy of one field: Hermitian product with the Parseval weights, in
+    which interior modes count twice, plus the double-well sum on the nodes."""
+    m = sys.grid.m
+    weights = np.full(len(half_spectrum), 2.0)
+    weights[[0, -1]] = 1.0
+    weights *= sys.stiff_symbol[: len(half_spectrum)] / (2 * m)
+    vals = np.fft.irfft(half_spectrum, m)
+    stiff = np.vdot(half_spectrum, weights * half_spectrum).real
+    return sys.grid.h * (stiff + np.sum(0.25 * (vals**2 - 1.0) ** 2))
+
+
+@pytest.mark.parametrize("name,params", [("IERK2-2", {"a33": 0.61}),
+                                         ("IERK3-2", {"a43": F(-3, 5)}),
+                                         ("IERK4-A1", {})])
+def test_evolve_matches_plain_stage_loop(name, params, bench_sys):
+    tab = registry(name, params)
+    u0 = initial_field(bench_sys.grid, "tanh-bumps")
+    u_end, trace = evolve(bench_sys, tab, u0, 0.05, 20, record_stages=True)
+    vals, stage_energies = u0.values, []
+    for k in range(20):
+        spectra = _stage_loop_reference(bench_sys, tab, vals, k * 0.05, 0.05)
+        stage_energies.append([_direct_energy(bench_sys, h) for h in spectra])
+        vals = np.fft.irfft(spectra[-1], bench_sys.grid.m)
+    stage_energies = np.array(stage_energies)
+    assert np.abs(trace.stage_energies - stage_energies).max() <= 1e-12 * np.abs(stage_energies).max()
+    assert np.abs(u_end.values - vals).max() <= 1e-12 * np.abs(vals).max()
 
 
 @pytest.mark.parametrize("name,params", FORCED_CASES)
@@ -299,7 +331,7 @@ def test_forced_step_matches_nodal_source_reference(name, params, rng):
     tab = registry(name, params)
     u0 = Field(values=np.sin(sys.grid.x) + _smooth_field(rng, sys.grid).values)
     for t, tau in ((0.0, 0.05), (0.7, 0.2)):
-        ref = _forced_step_reference(sys, tab, u0.values, t, tau)
+        ref = _stage_loop_reference(sys, tab, u0.values, t, tau)
         got = step(sys, tab, u0, t, tau).stage_spectra[:, : ref.shape[1]]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 

@@ -11,6 +11,7 @@ from ierk.spectral import (
     apply_operator,
     decaying_sine,
     energy,
+    energy_from_spectrum,
     initial_field,
     lambda_ml_bar,
     manufactured_source,
@@ -120,6 +121,24 @@ def test_energy_matches_quadrature_oracle(sys256):
     oracle = np.trapezoid(integrand, xs)
     val = energy(sys256, Field(values=np.sin(sys256.grid.x)))
     assert val == pytest.approx(oracle, rel=1e-10)
+
+
+def test_energy_from_spectrum_stacked_rows_and_strided_input(rng, sys256):
+    vals = np.array([_random_smooth(rng, sys256.grid).values for _ in range(4)])
+    half = np.fft.rfft(vals)
+    rows = np.array([energy_from_spectrum(sys256, h, v) for h, v in zip(half, vals)])
+    stacked = energy_from_spectrum(sys256, half, vals)
+    assert stacked.shape == (4,)
+    assert np.abs(stacked - rows).max() <= 1e-14 * np.abs(rows).max()
+    # every other row of a buffer, and a spectrum strided along its modes
+    buf = np.zeros((8, half.shape[1]), dtype=complex)
+    buf[::2] = half
+    assert np.abs(energy_from_spectrum(sys256, buf[::2], vals) - rows).max() <= 1e-14 * rows.max()
+    spread = np.zeros(2 * half.shape[1], dtype=complex)
+    spread[::2] = half[0]
+    assert energy_from_spectrum(sys256, spread[::2], vals[0]) == pytest.approx(rows[0], rel=1e-14)
+    e = energy(sys256, Field(values=vals[0]))
+    assert type(e) is float and e == pytest.approx(rows[0], rel=1e-14)
 
 
 def test_energy_nonnegative(rng, sys256):
