@@ -6,18 +6,21 @@ share the Fourier eigenbasis. The stiff operator enters through the full
 implicit tableau, the stabilized nonlinearity (and any forcing, evaluated at
 the stage abscissa times) through the strictly-lower explicit tableau.
 
-One kernel, built once per (system, tableau, tau), does all stepping on rfft
-half spectra (the fields are real). It checks the stage denominators up front
-and reuses one buffer whose rows interleave stages and explicit terms, U_0,
-X_0, U_1, X_1, ..., U_{s-1}: stage i is one weighted sum of the first 2i rows
-with per-mode coefficients fixed at build time, and a step's stage energies
-come from one batched evaluation. `evolve` and the harness's convergence loop
-drive it on plain arrays; `step` wraps a single kernel step in a StepRecord
-with full spectra for callers that inspect the stages.
+One kernel, built once per (system, tableau) and batch of B step sizes, does
+all stepping on rfft half spectra (the fields are real). It checks the stage
+denominators up front and reuses one (2s-1, B, half) buffer whose rows
+interleave stages and explicit terms, U_0, X_0, U_1, X_1, ..., U_{s-1}, each
+holding one run per batch row: stage i is one weighted sum of the first 2i
+rows, with per-mode coefficients fixed at build time, and a step's stage
+energies come from one evaluation. Runs that end retire as a prefix of the
+batch. `evolve` and the reference run are batches of one, the harness's
+convergence study one batch over its tau grid; `step` wraps a single kernel
+step in a StepRecord with full spectra for callers that inspect the stages.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,60 +85,76 @@ class EnergyTrace:
 
 
 class _StageKernel:
-    """Stage recursion of one (system, tableau, tau), on rfft half spectra.
+    """Stage recursion of one (system, tableau) at B step sizes tau, on rfft half spectra.
 
     Stage i solves (1 - tau a_ii ML_kappa) U_i = U_0 + tau sum_j a_ij ML_kappa U_j
-    - tau sum_j ahat_ij X_j with X_j = M g_kappa(U_j) - f(t + c_j tau), reading
-    rows z[:2i] of the half-spectrum buffer and writing row 2i; `nodal` holds
-    the nodal values of U_1 .. U_{s-1}. Every per-mode coefficient comes
-    pre-divided by the stage denominator, the U_0 one carrying the identity.
+    - tau sum_j ahat_ij X_j with X_j = M g_kappa(U_j) - f(t + c_j tau) in every
+    batch row, reading rows z[:2i] of the (2s-1, B, half) buffer and writing row
+    2i as one einsum: `flat` views z as (2s-1, B * 2 half) floats, coefs[i-1] is
+    (2i, B * 2 half), pre-divided by the stage denominator (the U_0 coefficient
+    carrying the identity). `nodal` holds the (s-1, B, m) values of U_1 .. U_{s-1}.
+    Batch rows are independent runs; `retire` drops finished ones from the front.
     """
 
-    def __init__(self, sys: SpectralSystem, tab: ImexTableau, tau: float):
-        if not tau > 0:
+    def __init__(self, sys: SpectralSystem, tab: ImexTableau, tau):
+        tau = np.array(tau, dtype=float, ndmin=1)
+        if not np.all(tau > 0):
             raise ValueError("tau must be positive")
         c, A, Ah = tab.float_arrays()
         self.half = half = sys.grid.m // 2 + 1
         ml = sys.mobility_stiff_symbol[:half]
-        self.sys, self.tau, self.c = sys, tau, c
-        self.mob = sys.mobility_symbol[:half]
+        self.sys, self.mob = sys, sys.mobility_symbol[:half]
+        self.ctau = c[:-1, None] * tau  # the explicit terms' times from the step start
         self.coefs = []
         for i in range(1, tab.s):
-            denom = 1.0 - (tau * A[i, i]) * ml
-            if np.any(denom == 0.0):
-                raise NonInvertibleStage(
-                    f"stage {i + 1} of {tab.name}: singular mode with a_ii={A[i, i]}, tau={tau}"
-                )
-            coef = np.empty((2 * i, half))
-            coef[0::2] = (tau * A[i, :i, None]) * ml
+            denom = 1.0 - (tau[:, None] * A[i, i]) * ml
+            singular = np.any(denom == 0.0, axis=1)
+            if singular.any():
+                raise NonInvertibleStage(f"stage {i + 1} of {tab.name}: singular mode with "
+                                         f"a_ii={A[i, i]}, tau={tau[singular][0]}")
+            coef = np.empty((2 * i, len(tau), half))
+            coef[0::2] = (tau[:, None] * A[i, :i, None, None]) * ml
             coef[0] += 1.0
-            coef[1::2] = -tau * Ah[i, :i, None]
+            coef[1::2] = -tau[:, None] * Ah[i, :i, None, None]
             # one weight each for the real and the imaginary part of a mode
-            self.coefs.append(np.repeat(coef / denom, 2, axis=1))
-        self.z = np.empty((2 * tab.s - 1, half), dtype=complex)
-        self.flat = self.z.view(float)
-        self.nodal = np.empty((tab.s - 1, sys.grid.m))
+            self.coefs.append(np.repeat(coef / denom, 2, axis=2).reshape(2 * i, -1))
+        self.z = np.empty((2 * tab.s - 1, len(tau), half), dtype=complex)
+        self.flat = self.z.view(float).reshape(2 * tab.s - 1, -1)
+        self.nodal = np.empty((tab.s - 1, len(tau), sys.grid.m))
+        self.retire(0)
+
+    def retire(self, n: int) -> None:
+        """Drop the first n batch rows (the caller drops them from its state) and
+        bind each stage's views of the rest, so that no step slices a view: its
+        coefficients, X row, rows read, row written (floats, spectrum), values."""
+        cols = 2 * self.half * n
+        self.z, self.nodal, self.ctau = self.z[:, n:], self.nodal[:, n:], self.ctau[:, n:]
+        self.flat, self.coefs = self.flat[:, cols:], [coef[:, cols:] for coef in self.coefs]
+        z, flat = self.z, self.flat
+        self.stages = [(coef, z[2 * i - 1], flat[: 2 * i], flat[2 * i], z[2 * i], self.nodal[i - 1])
+                       for i, coef in enumerate(self.coefs, start=1)]
 
     def step(self, u_hat, u_vals, t, energies=None):
-        """Advance from half spectrum u_hat (nodal values u_vals) at time t.
+        """Advance every row from half spectra u_hat (B, half), nodal values
+        u_vals (B, m), at time t (a float, or one per row).
 
-        Returns (stage half spectra, last stage's nodal values), both views
-        of the kernel's buffers that the next step overwrites; when given,
-        energies[1:] receives the stage energies.
+        Returns (stage half spectra (s, B, half), last stage's nodal values
+        (B, m)), both views of the kernel's buffers that the next step
+        overwrites; when given, energies[1:] receives the (s-1, B) stage energies.
         """
-        sys, z, flat, m = self.sys, self.z, self.flat, self.sys.grid.m
-        forced = sys.source is not None
+        sys, z, mob, m = self.sys, self.z, self.mob, self.sys.grid.m
+        src = None if sys.source is None else sys.source_spectrum(t + self.ctau)
         z[0] = u_hat
         vals = u_vals
         # blow-ups surface as non-finite energies; keep them quiet here
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, coef in enumerate(self.coefs, start=1):
-                x = np.fft.rfft(sys.nonlinearity(vals, stabilized=True), out=z[2 * i - 1])
-                x *= self.mob
-                if forced:
-                    x -= sys.source_spectrum(t + self.c[i - 1] * self.tau)
-                np.einsum("jk,jk->k", coef, flat[: 2 * i], out=flat[2 * i])
-                vals = np.fft.irfft(z[2 * i], m, out=self.nodal[i - 1])
+            for i, (coef, x_row, rows, out, u_row, u_nodal) in enumerate(self.stages):
+                x = np.fft.rfft(sys.nonlinearity(vals, stabilized=True), out=x_row)
+                x *= mob
+                if src is not None:
+                    x -= src[i]
+                np.einsum("jk,jk->k", coef, rows, out=out)
+                vals = np.fft.irfft(u_row, m, out=u_nodal)
             if energies is not None:
                 energies[1:] = energy_from_spectrum(sys, z[2::2], self.nodal)
         return z[::2], vals
@@ -155,15 +174,16 @@ def step(
     """
     kernel = _StageKernel(sys, tab, tau)
     m = sys.grid.m
-    u_hat = u_prev.spectrum[: kernel.half]
-    energies = np.empty(tab.s)
-    energies[0] = energy_from_spectrum(sys, u_hat, u_prev.values)
-    half, _ = kernel.step(u_hat, u_prev.values, t_prev, energies)
+    u_hat, u_vals = u_prev.spectrum[None, : kernel.half], u_prev.values[None]
+    energies = np.empty((tab.s, 1))
+    energies[0] = energy_from_spectrum(sys, u_hat, u_vals)
+    half, _ = kernel.step(u_hat, u_vals, t_prev, energies)
     spectra = np.empty((tab.s, m), dtype=complex)
-    spectra[:, : kernel.half] = half
+    spectra[:, : kernel.half] = half[:, 0]
     # real fields: the negative frequencies mirror the positive ones
     spectra[:, kernel.half:] = np.conj(spectra[:, m // 2 - 1 : 0 : -1])
-    return StepRecord(t_start=t_prev, tau=tau, stage_spectra=spectra, stage_energies=energies)
+    return StepRecord(t_start=t_prev, tau=tau, stage_spectra=spectra,
+                      stage_energies=energies[:, 0])
 
 
 def evolve(
@@ -183,49 +203,40 @@ def evolve(
     """
     kernel = _StageKernel(sys, tab, tau)
     times = t0 + (np.arange(n_steps) + 1) * tau
-    energies = np.empty(n_steps)
-    stage_energies = np.empty((n_steps, tab.s)) if record_stages else None
-    stage_e = np.empty(tab.s)
-    u_hat, vals = u0.spectrum[: kernel.half], u0.values
-    e_init = e_start = energy_from_spectrum(sys, u_hat, vals)
-    max_inc = -np.inf
-    max_rel = -np.inf
-    tiny = np.finfo(float).tiny
+    # every step's stage energies; _build_trace fills in stage 0
+    record = np.empty((n_steps, tab.s, 1))
+    u_hat, vals = u0.spectrum[None, : kernel.half], u0.values[None]
+    e_init = energy_from_spectrum(sys, u_hat[0], vals[0])
     for n in range(n_steps):
-        stage_e[0] = e_start
-        spectra, vals = kernel.step(u_hat, vals, t0 + n * tau, stage_e)
+        spectra, vals = kernel.step(u_hat, vals, t0 + n * tau, record[n])
         u_hat = spectra[-1]
-        worst = float((stage_e[1:] - e_start).max())
-        max_inc = max(max_inc, worst)
-        max_rel = max(max_rel, worst / max(abs(e_start), tiny))
-        e_start = energies[n] = stage_e[-1]
-        if record_stages:
-            stage_energies[n] = stage_e
-        if not np.isfinite(e_start):
-            trace = _build_trace(
-                e_init, times[: n + 1], energies[: n + 1],
-                stage_energies[: n + 1] if record_stages else None, max_inc, max_rel,
-            )
+        if not math.isfinite(record[n, -1, 0]):
+            trace = _build_trace(e_init, times[: n + 1], record[: n + 1, :, 0], record_stages)
             raise IntegrationDiverged(
                 f"{tab.name}: non-finite state after step {n + 1} (t={times[n]:.6g})",
                 steps_completed=n + 1,
                 trace=trace,
             )
-    u = Field(values=vals.copy()) if n_steps else u0
-    trace = _build_trace(e_init, times, energies, stage_energies, max_inc, max_rel)
-    return u, trace
+    u = Field(values=vals[0].copy()) if n_steps else u0
+    return u, _build_trace(e_init, times, record[:, :, 0], record_stages)
 
 
-def _build_trace(e_init, times, energies, stage_energies, max_inc, max_rel) -> EnergyTrace:
-    prev = np.concatenate(([e_init], energies[:-1])) if len(energies) else energies
+def _build_trace(e_init, times, stages, record_stages) -> EnergyTrace:
+    """Trace of the (steps, s) stage energies, whose stage-0 column is set
+    here; steps whose worst stage rise is NaN are left out of the maxima."""
+    energies = stages[:, -1].copy()
+    stages[1:, 0] = energies[:-1]
+    stages[:1, 0] = e_init
+    rise = (stages[:, 1:] - stages[:, :1]).max(axis=1)
+    rel = rise / np.maximum(np.abs(stages[:, 0]), np.finfo(float).tiny)
     return EnergyTrace(
         initial_energy=float(e_init),
         times=times,
         energies=energies,
-        deltas=energies - prev,
-        stage_energies=stage_energies,
-        max_increase=max_inc,
-        max_relative_increase=max_rel,
+        deltas=energies - stages[:, 0],
+        stage_energies=stages if record_stages else None,
+        max_increase=float(np.max(rise, initial=-np.inf, where=~np.isnan(rise))),
+        max_relative_increase=float(np.max(rel, initial=-np.inf, where=~np.isnan(rel))),
     )
 
 

@@ -83,7 +83,8 @@ class Field:
 
 class ModalSource(NamedTuple):
     """Forcing sum_k a_k(t) phi_k(x): `amplitudes(system, t)` gives the a_k, `modes`
-    the phi_k as functions of the nodes; a system transforms each mode once."""
+    the phi_k as functions of the nodes; a system transforms each mode once. For
+    an array of times t, each a_k is an array of the shape of t."""
 
     amplitudes: Callable[["SpectralSystem", float], tuple]
     modes: tuple
@@ -119,7 +120,7 @@ class SpectralSystem:
         object.__setattr__(self, "_energy_weights", weights)
         if self.source is not None:
             modes = [np.fft.rfft(f(self.grid.x)) for f in self.source.modes]
-            object.__setattr__(self, "_source_modes", np.array(modes))
+            object.__setattr__(self, "_source_modes", np.array(modes).view(float))
 
     @property
     def mobility_symbol(self) -> np.ndarray:
@@ -144,11 +145,17 @@ class SpectralSystem:
     def nonlinearity(self, u: np.ndarray, stabilized: bool = False) -> np.ndarray:
         return u * ((1.0 + self.kappa if stabilized else 1.0) - u * u)
 
-    def source_spectrum(self, t: float) -> Optional[np.ndarray]:
-        """rfft half spectrum of the forcing at time t: amplitudes times mode spectra."""
+    def source_spectrum(self, t) -> Optional[np.ndarray]:
+        """rfft half spectra of the forcing at the time(s) t, shape t.shape + (half,):
+        amplitudes times mode spectra."""
         if self.source is None:
             return None
-        return np.dot(self.source.amplitudes(self, t), self._source_modes)
+        amplitudes = self.source.amplitudes(self, t)
+        weights = np.empty(np.shape(t) + (len(amplitudes),))
+        for k, a in enumerate(amplitudes):
+            weights[..., k] = a
+        # real weights on the (re, im) pairs of each mode, viewed back as complex
+        return (weights @ self._source_modes).view(complex)
 
     def source_values(self, t: float) -> Optional[np.ndarray]:
         spectrum = self.source_spectrum(t)
@@ -219,8 +226,8 @@ def decaying_sine(sys: SpectralSystem, t: float) -> np.ndarray:
     return math.exp(-t) * np.sin(sys.grid.x)
 
 
-def _manufactured_amplitudes(sys: SpectralSystem, t: float) -> tuple:
-    e1, e3 = math.exp(-t), math.exp(-3.0 * t)
+def _manufactured_amplitudes(sys: SpectralSystem, t) -> tuple:
+    e1, e3 = np.exp(-t), np.exp(-3.0 * t)
     return ((sys.epsilon**2 - 2.0) * e1 + 0.75 * e3, -2.25 * e3)
 
 

@@ -8,6 +8,7 @@ import pytest
 from ierk import harness
 from ierk.cli import main
 from ierk.dissipation import average_rate
+from ierk.errors import DegenerateParameters, UnknownMethod
 from ierk.harness import (
     ConvergenceRow,
     ConvergenceTable,
@@ -145,6 +146,21 @@ def test_run_converge_zero_steps_sanity_row():
     assert table.rows[0].error == 0.0
 
 
+def test_run_converge_divergent_rows_leave_the_others_intact():
+    # a55 = 0.3 is outside IERK3-1's certified window: with kappa = 4 the two
+    # smallest steps blow up inside the same batch as the three larger ones
+    cfg = {"method": "IERK3-1", "params": {"a55": 0.3}, "kappa": 4.0, "epsilon": 0.2,
+           "tau_grid": [0.5, 0.25, 0.1, 0.05, 0.025]}
+    errs = [r.error for r in run_converge(cfg).rows]
+    assert errs[3:] == [math.inf, math.inf]
+    # errors of these runs stepped one at a time; the near-unstable flow turns
+    # last-bit differences in the forcing into relative changes near 1e-9
+    assert errs[:3] == pytest.approx([0.23035567483769515, 0.18349252702912566,
+                                      0.059467350503857846], rel=1e-6)
+    for tau, err in zip(cfg["tau_grid"], errs):
+        assert run_converge({**cfg, "tau_grid": [tau]}).rows[0].error == pytest.approx(err, rel=1e-6)
+
+
 def test_run_evolve_zero_steps_empty_trace():
     trace, summary, final = run_evolve({"method": "IERK1", "params": {"theta": 0.5},
                                         "tau": 0.2, "kappa": 2.0, "t_final": 0.05})
@@ -234,11 +250,16 @@ def test_cli_bad_step_count_exits_2(command, cfg, flags, message, tmp_path, caps
     assert not (out_dir / "report.json").exists()
 
 
-@pytest.mark.parametrize("ref_tau, message", [
-    (0.03, "reference tau 0.03 does not divide tau 0.05"),
-    (0, "reference tau must be positive"),
+@pytest.mark.parametrize("ref, error, message", [
+    pytest.param({"tau": 0.03}, ValueError, "reference tau 0.03 does not divide tau 0.05",
+                 id="0.03-reference tau 0.03 does not divide tau 0.05"),
+    pytest.param({"tau": 0}, ValueError, "reference tau must be positive",
+                 id="0-reference tau must be positive"),
+    pytest.param({"method": "BOGUS"}, UnknownMethod, "BOGUS", id="unknown-method"),
+    pytest.param({"method": "IERK2-1", "params": {"nope": 1}}, DegenerateParameters, "nope",
+                 id="bad-params"),
 ])
-def test_run_evolve_checks_reference_before_main_run(ref_tau, message, monkeypatch):
+def test_run_evolve_checks_reference_before_main_run(ref, error, message, monkeypatch):
     calls, evolve = [], harness.evolve
 
     def counting_evolve(*args, **kwargs):
@@ -247,14 +268,14 @@ def test_run_evolve_checks_reference_before_main_run(ref_tau, message, monkeypat
 
     monkeypatch.setattr(harness, "evolve", counting_evolve)
     monkeypatch.setattr(harness, "_REFERENCE_CACHE", {})
+    good = {"method": "IERK1", "params": {"theta": 0.5}, "tau": 0.025}
     cfg = {"method": "IERK1", "params": {"theta": 0.5}, "m": 32, "kappa": 2.0, "tau": 0.05,
-           "t_final": 1.0, "reference": {"method": "IERK1", "params": {"theta": 0.5},
-                                         "tau": ref_tau}}
-    with pytest.raises(ValueError, match=message):
+           "t_final": 1.0, "reference": {**good, **ref}}
+    with pytest.raises(error, match=message):
         run_evolve(cfg)
     assert calls == []
-    # a reference step that divides tau runs both
-    run_evolve({**cfg, "reference": {**cfg["reference"], "tau": 0.025}})
+    # a reference that can serve runs both
+    run_evolve({**cfg, "reference": good})
     assert len(calls) == 2
 
 
@@ -473,6 +494,17 @@ def test_cli_reproducible_outputs(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "table.csv").read_bytes() == (out2 / "table.csv").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_field_snapshot_bytes_match_write_csv(tmp_path):
+    from ierk.harness import write_csv, write_field_csv
+    from ierk.spectral import SpectralGrid, initial_field
+
+    grid = SpectralGrid(-math.pi, math.pi, 4096)
+    u = initial_field(grid, "tanh-bumps")
+    write_field_csv(tmp_path / "fast.csv", grid, u)
+    write_csv(tmp_path / "rows.csv", ("x", "u"), zip(grid.x, u.values))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_field_snapshot_round_trip(tmp_path):

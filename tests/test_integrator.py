@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ierk.errors import IntegrationDiverged, NonInvertibleStage
-from ierk.integrator import StepRecord, differential_form_residual, evolve, step
+from ierk.integrator import StepRecord, _StageKernel, differential_form_residual, evolve, step
 from ierk.spectral import Field, SpectralGrid, SpectralSystem, initial_field
 from ierk.tableau import registry, tableau_from_dict
 
@@ -364,3 +364,68 @@ def test_forced_step_makes_no_source_transform(name, params, monkeypatch):
         step(sys, tab, u0, 0.3, 0.1)
         counts.append(dict(calls))
     assert counts == [{"rfft": tab.s - 1, "source_values": 0}] * 2
+
+
+def _kernel_run(sys, tab, u0, taus, n_steps):
+    """Stage half spectra (n_steps, s, B, half) and stage energies
+    (n_steps, s-1, B) of a kernel over the step sizes taus, every row from u0."""
+    kernel = _StageKernel(sys, tab, taus)
+    rows = len(taus)
+    u_hat = np.tile(u0.spectrum[: kernel.half], (rows, 1))
+    vals = np.tile(u0.values, (rows, 1))
+    spectra, energies = [], []
+    for n in range(n_steps):
+        e = np.empty((tab.s, rows))
+        stages, vals = kernel.step(u_hat, vals, n * np.array(taus), e)
+        u_hat = stages[-1]
+        spectra.append(stages.copy())
+        energies.append(e[1:].copy())
+    return np.array(spectra), np.array(energies)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_batch_kernel_matches_single_row_kernels(forced):
+    from ierk.spectral import MANUFACTURED_SOURCE
+
+    sys = SpectralSystem(SpectralGrid(-math.pi, math.pi, 256), epsilon=0.1, kappa=2.0,
+                         source=MANUFACTURED_SOURCE if forced else None)
+    tab = registry("IERK3-2", {"a43": F(-3, 5)})
+    u0 = initial_field(sys.grid, "tanh-bumps")
+    taus = [0.05, 0.03, 0.01]
+    spectra, energies = _kernel_run(sys, tab, u0, taus, 20)
+    for b, tau in enumerate(taus):
+        one_spectra, one_energies = _kernel_run(sys, tab, u0, [tau], 20)
+        ref = one_spectra[:, :, 0]
+        assert np.abs(spectra[:, :, b] - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = one_energies[:, :, 0]
+        assert np.abs(energies[:, :, b] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _sequential_max_norm_error(sys, tab, tau, n_steps):
+    """One run of the convergence study, stepped by the plain stage loop."""
+    profile = np.sin(sys.grid.x)
+    vals, worst = profile, 0.0
+    for k in range(n_steps):
+        vals = np.fft.irfft(_stage_loop_reference(sys, tab, vals, k * tau, tau)[-1], sys.grid.m)
+        dev = float(np.abs(vals - math.exp(-(k + 1) * tau) * profile).max())
+        if not math.isfinite(dev):
+            return math.inf
+        worst = max(worst, dev)
+    return worst
+
+
+def test_run_converge_matches_sequential_runs():
+    from ierk.harness import build_system, run_converge
+    from test_acceptance import GRID_4TH, GRID_10, SWEEPS_ORDER2, SWEEPS_ORDER3, SWEEPS_ORDER4
+
+    # every criterion-7 point, on the three largest steps of its grid
+    for kappa, grid, points in ((0.0, GRID_10[:3], SWEEPS_ORDER2 + SWEEPS_ORDER3),
+                                (1.0, GRID_4TH[:3], SWEEPS_ORDER4)):
+        for name, params in points:
+            cfg = {"method": name, "params": params, "kappa": kappa, "epsilon": 0.2,
+                   "t_final": 1.0, "tau_grid": grid}
+            sys = build_system({**cfg, "source": "manufactured"})
+            errs = [r.error for r in run_converge(cfg).rows]
+            ref = [_sequential_max_norm_error(sys, registry(name, params), tau, round(1.0 / tau))
+                   for tau in grid]
+            assert np.abs(np.subtract(errs, ref)).max() <= 1e-13, (name, params)

@@ -217,6 +217,12 @@ def test_source_spectrum_matches_nodal_forcing(m, domain):
         nodal = manufactured_source(sys, t).values
         assert np.abs(sys.source_spectrum(t) - np.fft.rfft(nodal)).max() <= 1e-13
         assert np.abs(sys.source_values(t) - nodal).max() <= 1e-14
+    # an (s-1, B) array of stage times, as a batched step asks for them
+    times = np.array([[0.0, 0.4, 2.0], [0.1, 0.55, 2.3]])
+    batch = sys.source_spectrum(times)
+    assert batch.shape == times.shape + (m // 2 + 1,)
+    for idx in np.ndindex(times.shape):
+        assert np.abs(batch[idx] - sys.source_spectrum(times[idx])).max() <= 1e-13
     free = SpectralSystem(SpectralGrid(*domain, m), epsilon=0.2)
     assert free.source_spectrum(0.0) is None and free.source_values(0.0) is None
 
