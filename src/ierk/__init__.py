@@ -31,7 +31,6 @@ from .dissipation import (
     difference_coefficients,
     differentiation_pair,
     doc_kernels,
-    eval_D,
     scan_parameter,
 )
 from .spectral import (
@@ -77,7 +76,6 @@ __all__ = [
     "differentiation_pair",
     "doc_kernels",
     "energy",
-    "eval_D",
     "evolve",
     "lambda_ml_bar",
     "load_tableau",

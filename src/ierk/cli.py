@@ -166,11 +166,11 @@ def build_parser():
         p.add_argument("--epsilon", type=float)
         p.add_argument("--kappa", type=float)
         p.add_argument("--t-final", dest="t_final", type=float)
-        p.add_argument("--initial", choices=("sine", "tanh-bumps"))
         if name == "converge":
             p.add_argument("--tau-grid", dest="tau_grid",
                            help="comma-separated decreasing step sizes")
         else:
+            p.add_argument("--initial", choices=("sine", "tanh-bumps"))
             p.add_argument("--tau", type=float)
             p.add_argument("--record-stages", dest="record_stages", action="store_true",
                            default=None)

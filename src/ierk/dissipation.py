@@ -3,10 +3,10 @@
 The pipeline turns a tableau into a pair of constant matrices (D_E, D_EI)
 whose positive semi-definiteness (of the symmetric parts) guarantees that
 every stage of the method dissipates the discrete gradient-flow energy, for
-any step size. The construction goes through row-difference coefficients of
-the tableaux and their triangular inverse, the orthogonal convolution
-kernels. The affine family D(z) = D_E - z*D_EI collects the whole stiffness
-range in the scalar variable z <= 0.
+any step size. They are built from the row-difference coefficients of the
+tableaux and their triangular inverse, the orthogonal convolution kernels,
+here by one forward substitution. The affine family D(z) = D_E - z*D_EI
+collects the whole stiffness range in the scalar variable z <= 0.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ class DifferenceTableau:
     implicit: tuple
     explicit: tuple
 
-    @property
-    def s_implicit(self) -> int:
-        return len(self.explicit)
-
 
 def difference_from_reduced(A_I, A_E) -> DifferenceTableau:
     """Difference coefficients straight from reduced matrices (test hook)."""
@@ -83,10 +79,6 @@ class DocKernels:
 
     theta: tuple
 
-    @property
-    def s_implicit(self) -> int:
-        return len(self.theta)
-
 
 def doc_kernels(diff: DifferenceTableau) -> DocKernels:
     """Build the kernels by the triangular recurrence.
@@ -95,7 +87,7 @@ def doc_kernels(diff: DifferenceTableau) -> DocKernels:
     (InvalidTableau) when any of them vanishes.
     """
     ua = diff.explicit
-    n = diff.s_implicit
+    n = len(ua)
     zero = ua[0][0] * 0
     theta = [[zero] * n for _ in range(n)]
     for k in range(n):
@@ -112,7 +104,7 @@ def doc_kernels(diff: DifferenceTableau) -> DocKernels:
 
 def orthogonality_defect(diff: DifferenceTableau, kernels: DocKernels) -> float:
     """Max |sum_l theta[m][l]*explicit[l][j] - delta_{mj}| over the triangle."""
-    n = kernels.s_implicit
+    n = len(kernels.theta)
     worst = 0.0
     for m in range(n):
         for j in range(m + 1):
@@ -131,52 +123,52 @@ class DifferentiationPair:
     exact_d_e: Optional[tuple] = None
     exact_d_ei: Optional[tuple] = None
 
-    @property
-    def s_implicit(self) -> int:
-        return self.d_e.shape[0]
-
     def at(self, z: float) -> np.ndarray:
+        """The differentiation matrix at stiffness sample z (z <= 0 in practice)."""
         return self.d_e - z * self.d_ei
 
 
-def differentiation_pair(t: ImexTableau) -> DifferentiationPair:
-    """Assemble (D_E, D_EI) from the kernel/difference construction.
+def _pair_stack(A, A_hat):
+    """(D_E, D_EI) stacks of stacked (n, s, s) tableaux by one forward substitution.
 
-    D_E is the kernel matrix itself. D_EI accumulates the double sum of
-    kernels against implicit difference coefficients, minus the summation
-    matrix, plus half the identity; equivalently A_E^{-1} A_I E - E + I/2.
-    Exact forms are kept alongside the float views for rational tableaux.
+    [D_E, D_EI] = A_E^{-1} [E, A_I E] - [0, E - I/2], with (A_I, A_E) the
+    reduced matrices and E the lower-triangular all-ones matrix. The stacks
+    are float64, or object arrays of Fractions, whose arithmetic stays exact.
+    Both blocks are lower triangular, so row i solves only its columns <= i.
     """
-    diff = difference_coefficients(t)
-    kernels = doc_kernels(diff)
-    n = diff.s_implicit
-    theta, ua = kernels.theta, diff.implicit
-    zero = theta[0][0] * 0
-    d_ei = [[zero] * n for _ in range(n)]
-    for k in range(n):
-        for l in range(k + 1):
-            acc = zero
-            for j in range(l, k + 1):
-                for i in range(j, k + 1):
-                    acc = acc + theta[k][i] * ua[i][j]
-            acc = acc - 1
-            if l == k:
-                acc = acc + Fraction(1, 2)
-            d_ei[k][l] = acc
-    d_e_np = np.array([[float(x) for x in row] for row in theta])
-    d_ei_np = np.array([[float(x) for x in row] for row in d_ei])
+    A_I, A_E = A[:, 1:, 1:], A_hat[:, 1:, :-1]
+    n, k = A_E.shape[:2]
+    zero = 0 * A_E[:, :1, :1]  # Fraction(0) on an exact stack, 0.0 on a float one
+    one = zero + 1
+    E = np.where(np.tri(k, dtype=bool), one, zero)
+    # X[:, i] holds row i of D_E and of D_EI; A_I E sums each row of A_I from the right
+    X = np.concatenate([E, A_I[..., ::-1].cumsum(-1)[..., ::-1]], -1).reshape(n, k, 2, k)
+    for i in range(k):
+        row = X[:, i, :, :i + 1]
+        row -= (A_E[:, i, :i, None, None] * X[:, :i, :, :i + 1]).sum(1)
+        row /= A_E[:, i, i, None, None]
+    d_e, d_ei = X[:, :, 0], X[:, :, 1]
+    d_ei -= np.where(np.eye(k, dtype=bool), one / 2, E)  # E - I/2
+    return d_e, d_ei
+
+
+def differentiation_pair(t: ImexTableau) -> DifferentiationPair:
+    """(D_E, D_EI) of one tableau, by the substitution `scan_parameter` runs.
+
+    D_E is the kernel matrix of `doc_kernels`; D_EI is the double sum of the
+    kernels against the implicit difference coefficients, minus E, plus I/2.
+    A rational tableau is solved on Fractions, and its exact forms are kept
+    alongside the float views.
+    """
     exact = t.exact
+    A, A_hat = (np.array([M], dtype=object if exact else float) for M in (t.A, t.A_hat))
+    d_e, d_ei = (M[0] for M in _pair_stack(A, A_hat))
     return DifferentiationPair(
-        d_e=d_e_np,
-        d_ei=d_ei_np,
-        exact_d_e=kernels.theta if exact else None,
-        exact_d_ei=tuple(tuple(r) for r in d_ei) if exact else None,
+        d_e=d_e.astype(float),
+        d_ei=d_ei.astype(float),
+        exact_d_e=tuple(map(tuple, d_e.tolist())) if exact else None,
+        exact_d_ei=tuple(map(tuple, d_ei.tolist())) if exact else None,
     )
-
-
-def eval_D(t: ImexTableau, z: float) -> np.ndarray:
-    """The differentiation matrix at stiffness sample z (z <= 0 in practice)."""
-    return differentiation_pair(t).at(z)
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -384,11 +376,11 @@ def scan_parameter(
     not root-polished. Degenerate values are skipped and listed.
 
     The grid lo + i*step (lo <= hi) is evaluated as one float batch: the
-    family is built once along it (`tableau.family_batch`), the pairs
-    D_E = A_E^{-1} E and D_EI = A_E^{-1} A_I E - E + I/2 of all valid points
-    come from one forward substitution over the stack, and each matrix gets
-    one stacked eigvalsh with `certify`'s threshold. Memory is O(n*s^2) for
-    n grid points, so grids beyond MAX_SCAN_POINTS are rejected.
+    family is built once along it (`tableau.family_batch`), the pairs of all
+    valid points come from one run of `differentiation_pair`'s forward
+    substitution over the float stack, and each matrix gets one stacked
+    eigvalsh with `certify`'s threshold. Memory is O(n*s^2) for n grid
+    points, so grids beyond MAX_SCAN_POINTS are rejected.
     """
     if target not in ("certified", "d_e", "d_ei"):
         raise ValueError(f"unknown scan target {target!r}")
@@ -401,19 +393,8 @@ def scan_parameter(
         raise ValueError(f"scan grid has {n} points; at most {MAX_SCAN_POINTS} are allowed")
     grid = lo + np.arange(n) * step
     A, A_hat, valid = family_batch(family, symbol, grid, fixed or {})
-    A_I, A_E = A[valid, 1:, 1:], A_hat[valid, 1:, :-1]
-    del A, A_hat  # peak memory: free the full stacks before X is allocated
-    k = A_E.shape[-1]
-    E = np.tri(k)
-    # [D_E, D_EI] = A_E^{-1} [E, A_I E] - [0, E - I/2] by forward substitution;
-    # A_I E sums each row of A_I from the right
-    X = np.concatenate([np.broadcast_to(E, A_E.shape), A_I[..., ::-1].cumsum(-1)[..., ::-1]], -1)
-    for i in range(k):
-        X[:, i] -= (A_E[:, i, :i, None] * X[:, :i]).sum(1)
-        X[:, i] /= A_E[:, i, i, None]
-    d_e, d_ei = X[..., :k], X[..., k:]
-    d_ei -= E
-    d_ei += 0.5 * np.eye(k)
+    A, A_hat = A[valid], A_hat[valid]  # peak memory: drop the full stacks before the solve
+    d_e, d_ei = _pair_stack(A, A_hat)
     min_eig_e, thr_e = _min_eig_and_threshold(d_e, tol)
     min_eig_ei, thr_ei = _min_eig_and_threshold(d_ei, tol)
     ok_e, ok_ei = min_eig_e >= -thr_e, min_eig_ei >= -thr_ei

@@ -141,6 +141,12 @@ def step_count(t_final: float, tau: float, key: str = "tau") -> int:
     return round(ratio)
 
 
+def _reject_keys(cfg: Mapping, keys, command: str) -> None:
+    unused = [key for key in keys if key in cfg]
+    if unused:
+        raise ValueError(f"{command} does not use config key {', '.join(map(repr, unused))}")
+
+
 def _required(cfg: Mapping, key: str):
     if key not in cfg:
         raise ValueError(f"config key {key!r} is missing")
@@ -281,8 +287,14 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
     difference from the closed-form solution. The runs step as one batch; the
     grid is strictly decreasing, so they end in order and leave it as a prefix.
     A run that diverges records an infinite error and touches no other run.
+    The solution starts from the sine, and a single run's keys are refused.
     """
-    cfg = {**DEFAULT_CONFIG, **cfg, "source": "manufactured", "initial": "sine"}
+    forced = {"source": "manufactured", "initial": "sine"}
+    for key, value in forced.items():
+        if cfg.get(key, value) != value:
+            raise ValueError(f"converge forces config key {key!r} to {value!r}, got {cfg[key]!r}")
+    _reject_keys(cfg, ("tau", "record_stages", "reference"), "converge")
+    cfg = {**DEFAULT_CONFIG, **cfg, **forced}
     sys = build_system(cfg)
     tab = resolve_method(cfg)
     t_final = float(cfg["t_final"])
@@ -342,6 +354,7 @@ def run_evolve(cfg: Mapping) -> tuple:
     run is configured) the trapezoidal deviation integral(|E - E_ref|) dt on
     the coarse time grid. final_field is None when the run diverged.
     """
+    _reject_keys(cfg, ("tau_grid",), "evolve")
     cfg = {**EVOLVE_DEFAULTS, **cfg}
     sys = build_system(cfg)
     tab = resolve_method(cfg)

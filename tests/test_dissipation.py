@@ -12,7 +12,6 @@ from ierk.dissipation import (
     difference_from_reduced,
     differentiation_pair,
     doc_kernels,
-    eval_D,
     orthogonality_defect,
     scan_parameter,
 )
@@ -266,19 +265,40 @@ def _elementwise_d(t, z):
 def test_eval_d_matches_elementwise_definition():
     for name, params in REGISTRY_CASES:
         t = registry(name, params)
+        pair = differentiation_pair(t)
         for z in (0.0, -0.37, -11.0):
-            assert np.allclose(eval_D(t, z), _elementwise_d(t, z), atol=1e-12), name
+            assert np.allclose(pair.at(z), _elementwise_d(t, z), atol=1e-12), name
 
 
 def test_eval_d_examples():
-    t = registry("IERK1", {"theta": 1})
-    assert eval_D(t, -2.0) == pytest.approx(np.array([[2.0]]))
-    t = registry("IERK2-1", {"c2": 1, "a33": 1})
-    D = eval_D(t, -1.0)
+    assert differentiation_pair(registry("IERK1", {"theta": 1})).at(-2.0) == pytest.approx(
+        np.array([[2.0]]))
+    pair = differentiation_pair(registry("IERK2-1", {"c2": 1, "a33": 1}))
+    D = pair.at(-1.0)
     # diagonal of D(-1) is (1/c2, 2*c2) + (2*c2*a33 - 1/2)
     assert D[0, 0] == pytest.approx(1 + 1.5) and D[1, 1] == pytest.approx(2 + 1.5)
+    assert np.allclose(pair.at(0.0), pair.d_e)
+
+
+@pytest.mark.parametrize("name, params", REGISTRY_CASES + [("IERK3-1", {"a55": 0.8})])
+def test_pair_d_e_is_the_kernel_matrix(name, params):
+    # D_E comes from the forward substitution, not from doc_kernels
+    t = registry(name, params)
+    theta = doc_kernels(difference_coefficients(t)).theta
     pair = differentiation_pair(t)
-    assert np.allclose(eval_D(t, 0.0), pair.d_e)
+    if t.exact:
+        assert pair.exact_d_e == theta
+    else:
+        assert np.abs(pair.d_e - np.array(theta, dtype=float)).max() <= 1e-14
+
+
+def test_exact_pair_entries_are_fractions():
+    for name, params in REGISTRY_CASES:
+        t = registry(name, params)
+        if t.exact:
+            pair = differentiation_pair(t)
+            entries = [x for M in (pair.exact_d_e, pair.exact_d_ei) for row in M for x in row]
+            assert all(type(x) is F for x in entries), name
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,19 @@ _CONVERGE_CFG = {"method": "IERK1", "params": {"theta": 0.5}, "m": 32, "tau_grid
      "config key 'tau' is missing"),
     ("converge", {k: v for k, v in _CONVERGE_CFG.items() if k != "tau_grid"}, [],
      "config key 'tau_grid' is missing"),
+    # keys a command would ignore or overwrite
+    ("converge", _CONVERGE_CFG, ["--initial", "tanh-bumps"],
+     "cannot parse coefficient 'tanh-bumps'"),
+    ("converge", {**_CONVERGE_CFG, "initial": "tanh-bumps"}, [],
+     "converge forces config key 'initial' to 'sine', got 'tanh-bumps'"),
+    ("converge", {**_CONVERGE_CFG, "source": "none"}, [],
+     "converge forces config key 'source' to 'manufactured', got 'none'"),
+    ("converge", {**_CONVERGE_CFG, "tau": 0.1}, [], "converge does not use config key 'tau'"),
+    ("converge", {**_CONVERGE_CFG, "record_stages": True}, [],
+     "converge does not use config key 'record_stages'"),
+    ("converge", {**_CONVERGE_CFG, "reference": {"method": "IERK1", "params": {"theta": 0.5}}},
+     [], "converge does not use config key 'reference'"),
+    ("evolve", {**_EVOLVE_CFG, "tau_grid": [0.1]}, [], "evolve does not use config key 'tau_grid'"),
 ])
 def test_cli_bad_step_count_exits_2(command, cfg, flags, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -248,6 +261,11 @@ def test_cli_bad_step_count_exits_2(command, cfg, flags, message, tmp_path, caps
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
     assert not (out_dir / "report.json").exists()
+
+
+def test_run_converge_accepts_the_forced_values():
+    cfg = {**_CONVERGE_CFG, "source": "manufactured", "initial": "sine"}
+    assert run_converge(cfg).rows == run_converge(_CONVERGE_CFG).rows
 
 
 @pytest.mark.parametrize("ref, error, message", [
