@@ -41,7 +41,6 @@ from .spectral import (
     energy,
     lambda_ml_bar,
     manufactured_source,
-    nonlinear,
     tanh_gaussian_bumps,
 )
 from .integrator import EnergyTrace, StepRecord, differential_form_residual, evolve, step
@@ -80,7 +79,6 @@ __all__ = [
     "lambda_ml_bar",
     "load_tableau",
     "manufactured_source",
-    "nonlinear",
     "reduced_matrices",
     "registry",
     "scan_parameter",

@@ -27,7 +27,7 @@ import sys as _sys
 
 from . import harness
 from .errors import IerkError
-from .tableau import as_scalar
+from .tableau import FAMILIES, as_scalar
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -48,8 +48,8 @@ def _parse_extra_params(extras):
     """Leftover `--name value` pairs become method parameters.
 
     Lets the natural form `certify IERK2-1 --c2 1 --a33 0.5` work without
-    pre-declaring every family's symbols; unknown names are still rejected
-    by the registry.
+    pre-declaring every family's symbols; the values stay strings until
+    `_merge_config` has checked the names against the method.
     """
     params = {}
     i = 0
@@ -66,8 +66,21 @@ def _parse_extra_params(extras):
                 raise ValueError(f"missing value for parameter --{name}")
             value = extras[i + 1]
             i += 2
-        params[name] = as_scalar(value)
+        params[name] = value
     return params
+
+
+def _check_flags(command, cfg, flags):
+    """Refuse a parameter flag that the method does not take, most likely an
+    option that the command does not have; an unknown method is left to the registry."""
+    family = None if cfg.get("tableau_file") else FAMILIES.get(cfg.get("method"))
+    if family is None and not cfg.get("tableau_file"):
+        return
+    method, symbols = (family.name, family.free_symbols) if family else ("a --tableau method", ())
+    for name in flags:
+        if name not in symbols:
+            takes = f"the parameters: {', '.join(symbols)}" if symbols else "no parameters"
+            raise ValueError(f"{command} has no option --{name}; {method} takes {takes}")
 
 
 def _split_params(ap, argv):
@@ -104,16 +117,30 @@ def _merge_config(args, keys):
             cfg[key] = val
     if getattr(args, "tableau", None):
         cfg["tableau_file"] = args.tableau
-    extra = {**_parse_params(getattr(args, "p", None)), **getattr(args, "extra_params", {})}
+    flags = getattr(args, "extra_params", {})
+    _check_flags(args.command, cfg, flags)
+    extra = {**_parse_params(getattr(args, "p", None)),
+             **{name: as_scalar(value) for name, value in flags.items()}}
     if extra:
         cfg["params"] = {**(cfg.get("params") or {}), **extra}
     return cfg
 
 
+def _finite(obj):
+    """The report with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit(outdir, report):
+    """Print the report, and write it to report.json under outdir: strict JSON."""
+    report = _finite(report)
     if outdir:
         harness.write_json(os.path.join(outdir, "report.json"), report)
-    json.dump(report, _sys.stdout, indent=2, sort_keys=True)
+    json.dump(report, _sys.stdout, indent=2, sort_keys=True, allow_nan=False)
     _sys.stdout.write("\n")
 
 
@@ -249,18 +276,13 @@ def _dispatch(args) -> int:
         if getattr(args, "tau_grid", None):
             cfg["tau_grid"] = [float(x) for x in str(args.tau_grid).split(",")]
         table = harness.run_converge(cfg)
-
-        def fin(x):
-            # keep report.json strict: non-finite values become null
-            return x if x is not None and math.isfinite(x) else None
-
         report = {
             "method": table.method,
             "params": table.params,
             "kappa": table.kappa,
-            "observed_order": fin(table.observed_order()),
+            "observed_order": table.observed_order(),
             "rows": [
-                {"tau": r.tau, "error": fin(r.error), "observed_order": fin(r.observed_order)}
+                {"tau": r.tau, "error": r.error, "observed_order": r.observed_order}
                 for r in table.rows
             ],
             "ok": all(math.isfinite(r.error) for r in table.rows),

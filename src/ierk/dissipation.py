@@ -267,7 +267,8 @@ def _exact_det(M):
 def _first_negative_minor(name: str, M_np: np.ndarray, M_exact, thr: float):
     S = _sym(M_np)
     for k in range(1, S.shape[0] + 1):
-        det = float(np.linalg.det(S[:k, :k]))
+        with np.errstate(over="ignore"):  # an overflow is still a sign: +-inf
+            det = float(np.linalg.det(S[:k, :k]))
         if det < -thr:
             exact = None
             if M_exact is not None:

@@ -8,7 +8,6 @@ structures; writers turn them into files under an output directory.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import numbers
@@ -284,9 +283,9 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
     """Max-norm error against the manufactured solution over a tau grid.
 
     The error of one run is the maximum over all steps of the nodal max-norm
-    difference from the closed-form solution. The runs step as one batch; the
-    grid is strictly decreasing, so they end in order and leave it as a prefix.
-    A run that diverges records an infinite error and touches no other run.
+    difference from the closed-form solution. The runs step as one batch, and
+    a run leaves it when it has taken its steps. A run whose error turns
+    non-finite records an infinite error, leaves at once and touches no other.
     The solution starts from the sine, and a single run's keys are refused.
     """
     forced = {"source": "manufactured", "initial": "sine"}
@@ -312,20 +311,28 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
     profile = spectral.decaying_sine(sys, 0.0)
     vals = np.tile(profile, (len(taus), 1))
     u_hat = np.fft.rfft(vals)
-    live, err, errors = np.array(taus), np.zeros(len(taus)), []
+    # the live rows: their grid index, step size, step count and error so far
+    live, tau, ends = np.arange(len(taus)), np.array(taus), np.array(steps)
+    err, errors, stops = np.zeros(len(taus)), np.zeros(len(taus)), set(steps)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps[-1]):
-            done = bisect.bisect_right(steps, k) - len(errors)
-            if done:
-                errors += list(err[:done])
-                live, err, u_hat, vals = live[done:], err[done:], u_hat[done:], vals[done:]
-                kernel.retire(done)
-            spectra, vals = kernel.step(u_hat, vals, k * live)
+            # a row leaves when it has taken its steps or its error is no longer finite
+            if k in stops or not math.isfinite(err.sum()):
+                keep = (ends > k) & np.isfinite(err)
+                errors[live] = err
+                if not keep.any():
+                    break
+                if not keep.all():
+                    live, tau, ends, err = live[keep], tau[keep], ends[keep], err[keep]
+                    u_hat, vals = u_hat[keep], vals[keep]
+                    kernel.keep(keep)
+            spectra, vals = kernel.step(u_hat, vals, k * tau)
             u_hat = spectra[-1]
-            dev = np.multiply.outer(np.exp(-(k + 1) * live), profile)
+            dev = np.multiply.outer(np.exp(-(k + 1) * tau), profile)
             np.subtract(vals, dev, out=dev)
             np.maximum(err, np.abs(dev, out=dev).max(axis=1), out=err)
-    errors = [e if math.isfinite(e) else math.inf for e in map(float, errors + list(err))]
+    errors[live] = err
+    errors = [e if math.isfinite(e) else math.inf for e in errors.tolist()]
     rows = []
     prev = None
     for tau, err in zip(taus, errors):
@@ -460,7 +467,7 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
 
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -495,10 +502,8 @@ def write_stage_csv(path, trace: EnergyTrace, tab: ImexTableau) -> None:
     if trace.stage_energies is None:
         raise ValueError("run was made without record_stages")
     c = [float(x) for x in tab.c]
-    rows = []
-    for n in range(trace.stage_energies.shape[0]):
-        for i in range(tab.s):
-            rows.append((n + 1, i + 1, c[i], trace.stage_energies[n, i]))
+    rows = [(n + 1, i + 1, c[i], e) for n, stages in enumerate(trace.stage_energies)
+            for i, e in enumerate(stages)]
     write_csv(path, ("n", "i", "c_i", "E_stage"), rows)
 
 
@@ -514,29 +519,17 @@ def svg_line_plot(path, series, title="", logx=False, logy=False,
                   width=640, height=420) -> None:
     """Tiny static line plot: one polyline per (label, xs, ys) series."""
     margin = 54.0
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if logx and x <= 0 or logy and y <= 0:
-                continue
-            pts.append((math.log10(x) if logx else float(x),
-                        math.log10(y) if logy else float(y)))
+    # each series' plottable points, on the log scale where asked
+    curves = [[(math.log10(x) if logx else float(x), math.log10(y) if logy else float(y))
+               for x, y in zip(xs, ys) if not (logx and x <= 0 or logy and y <= 0)]
+              for _, xs, ys in series]
+    pts = [p for curve in curves for p in curve]
     if not pts:
         raise ValueError("nothing to plot")
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
+    x0, x1 = min(p[0] for p in pts), max(p[0] for p in pts)
+    y0, y1 = min(p[1] for p in pts), max(p[1] for p in pts)
     x1 = x1 if x1 > x0 else x0 + 1.0
     y1 = y1 if y1 > y0 else y0 + 1.0
-
-    def sx(x):
-        v = math.log10(x) if logx else float(x)
-        return margin + (v - x0) / (x1 - x0) * (width - 2 * margin)
-
-    def sy(y):
-        v = math.log10(y) if logy else float(y)
-        return height - margin - (v - y0) / (y1 - y0) * (height - 2 * margin)
 
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
     lines = [
@@ -546,12 +539,10 @@ def svg_line_plot(path, series, title="", logx=False, logy=False,
         f'height="{height - 2 * margin}" fill="none" stroke="#444"/>',
         f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="13">{title}</text>',
     ]
-    for idx, (label, xs, ys) in enumerate(series):
-        coords = [
-            f"{sx(x):.2f},{sy(y):.2f}"
-            for x, y in zip(xs, ys)
-            if not (logx and x <= 0 or logy and y <= 0)
-        ]
+    for idx, ((label, _, _), curve) in enumerate(zip(series, curves)):
+        coords = [f"{margin + (x - x0) / (x1 - x0) * (width - 2 * margin):.2f},"
+                  f"{height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin):.2f}"
+                  for x, y in curve]
         color = colors[idx % len(colors)]
         lines.append(
             f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -7,15 +7,13 @@ implicit tableau, the stabilized nonlinearity (and any forcing, evaluated at
 the stage abscissa times) through the strictly-lower explicit tableau.
 
 One kernel, built once per (system, tableau) and batch of B step sizes, does
-all stepping on rfft half spectra (the fields are real). It checks the stage
-denominators up front and reuses one (2s-1, B, half) buffer whose rows
-interleave stages and explicit terms, U_0, X_0, U_1, X_1, ..., U_{s-1}, each
-holding one run per batch row: stage i is one weighted sum of the first 2i
-rows, with per-mode coefficients fixed at build time, and a step's stage
-energies come from one evaluation. Runs that end retire as a prefix of the
-batch. `evolve` and the reference run are batches of one, the harness's
-convergence study one batch over its tau grid; `step` wraps a single kernel
-step in a StepRecord with full spectra for callers that inspect the stages.
+all stepping on rfft half spectra, with per-mode stage coefficients that hold
+the mobility and the linear part (1 + kappa) u of the stabilized force: a
+stage cubes its values, makes one rfft, one weighted sum (plus any source
+term) and one irfft. Runs that end or diverge leave the batch. `evolve` and
+the reference run are batches of one, the convergence study one batch over
+its tau grid, and `step` wraps one kernel step in a StepRecord; each enters
+np.errstate once.
 """
 
 from __future__ import annotations
@@ -46,15 +44,8 @@ class StepRecord:
     stage_energies: np.ndarray  # (s,)
 
     @property
-    def s(self) -> int:
-        return self.stage_spectra.shape[0]
-
-    @property
     def result(self) -> Field:
         return Field(spectrum=self.stage_spectra[-1])
-
-    def stage_field(self, i: int) -> Field:
-        return Field(spectrum=self.stage_spectra[i])
 
     def stage_differences(self) -> np.ndarray:
         """delta U_{l+1} = U_{l+1} - U_l for l = 0..s-2, in Fourier space."""
@@ -88,12 +79,12 @@ class _StageKernel:
     """Stage recursion of one (system, tableau) at B step sizes tau, on rfft half spectra.
 
     Stage i solves (1 - tau a_ii ML_kappa) U_i = U_0 + tau sum_j a_ij ML_kappa U_j
-    - tau sum_j ahat_ij X_j with X_j = M g_kappa(U_j) - f(t + c_j tau) in every
-    batch row, reading rows z[:2i] of the (2s-1, B, half) buffer and writing row
-    2i as one einsum: `flat` views z as (2s-1, B * 2 half) floats, coefs[i-1] is
-    (2i, B * 2 half), pre-divided by the stage denominator (the U_0 coefficient
-    carrying the identity). `nodal` holds the (s-1, B, m) values of U_1 .. U_{s-1}.
-    Batch rows are independent runs; `retire` drops finished ones from the front.
+    - tau sum_j ahat_ij (M g_kappa(U_j) - f(t + c_j tau)) in every batch row; with
+    g_kappa(u) = (1 + kappa) u - u^3 the row X_j holds only rfft(U_j^3). Stage i
+    reads rows z[:2i] of the (2s-1, B, half) buffer U_0, X_0, U_1, ..., U_{s-1} and
+    writes row 2i as one einsum over `flat`, its (2s-1, B * 2 half) float view, with
+    coefs[i-1] (2i, B * 2 half) pre-divided by the stage denominator; a forced step
+    then adds src_term[i-1]. `nodal` holds the (s-1, B, m) values of U_1 .. U_{s-1}.
     """
 
     def __init__(self, sys: SpectralSystem, tab: ImexTableau, tau):
@@ -101,9 +92,9 @@ class _StageKernel:
         if not np.all(tau > 0):
             raise ValueError("tau must be positive")
         c, A, Ah = tab.float_arrays()
-        self.half = half = sys.grid.m // 2 + 1
-        ml = sys.mobility_stiff_symbol[:half]
-        self.sys, self.mob = sys, sys.mobility_symbol[:half]
+        self.sys, self.half = sys, sys.grid.m // 2 + 1
+        ml, mob = sys.mobility_stiff_symbol[: self.half], sys.mobility_symbol[: self.half]
+        linear = sys.force_slope(stabilized=True) * mob  # M (1 + kappa), moved to the U rows
         self.ctau = c[:-1, None] * tau  # the explicit terms' times from the step start
         self.coefs = []
         for i in range(1, tab.s):
@@ -112,51 +103,64 @@ class _StageKernel:
             if singular.any():
                 raise NonInvertibleStage(f"stage {i + 1} of {tab.name}: singular mode with "
                                          f"a_ii={A[i, i]}, tau={tau[singular][0]}")
-            coef = np.empty((2 * i, len(tau), half))
-            coef[0::2] = (tau[:, None] * A[i, :i, None, None]) * ml
+            ta = tau[:, None] * Ah[i, :i, None, None]
+            coef = np.empty((2 * i, len(tau), self.half))
+            coef[0::2] = (tau[:, None] * A[i, :i, None, None]) * ml - ta * linear
             coef[0] += 1.0
-            coef[1::2] = -tau[:, None] * Ah[i, :i, None, None]
+            coef[1::2] = ta * mob
             # one weight each for the real and the imaginary part of a mode
             self.coefs.append(np.repeat(coef / denom, 2, axis=2).reshape(2 * i, -1))
-        self.z = np.empty((2 * tab.s - 1, len(tau), half), dtype=complex)
-        self.flat = self.z.view(float).reshape(2 * tab.s - 1, -1)
-        self.nodal = np.empty((tab.s - 1, len(tau), sys.grid.m))
-        self.retire(0)
+        self.src_term = self.src_coef = None
+        if sys.source is not None:
+            # weights tau ahat_ij / denom_i of the source term of stage j in stage i
+            denoms = 1.0 - (tau[:, None] * A.diagonal()[1:, None, None]) * ml
+            src = (tau[:, None] * Ah[1:, :-1, None, None]) / denoms[:, None]
+            self.src_coef = np.repeat(src, 2, axis=3).reshape(tab.s - 1, tab.s - 1, -1)
+        self.keep(slice(None))
 
-    def retire(self, n: int) -> None:
-        """Drop the first n batch rows (the caller drops them from its state) and
-        bind each stage's views of the rest, so that no step slices a view: its
-        coefficients, X row, rows read, row written (floats, spectrum), values."""
-        cols = 2 * self.half * n
-        self.z, self.nodal, self.ctau = self.z[:, n:], self.nodal[:, n:], self.ctau[:, n:]
-        self.flat, self.coefs = self.flat[:, cols:], [coef[:, cols:] for coef in self.coefs]
-        z, flat = self.z, self.flat
+    def keep(self, rows) -> None:
+        """Keep the batch rows that `rows` (a mask) selects, as the caller does with
+        its state: compact the per-row weights, allocate the buffers and bind each
+        stage's views (coefficients, X row, rows read, row written as floats and as
+        a spectrum, values), so that no step slices a view."""
+        def compact(a):
+            lead = a.shape[:-1]
+            return a.reshape(*lead, -1, 2 * self.half)[..., rows, :].reshape(*lead, -1)
+
+        self.ctau, self.coefs = self.ctau[:, rows], [compact(coef) for coef in self.coefs]
+        s, b, m = len(self.coefs) + 1, self.ctau.shape[1], self.sys.grid.m
+        self.z = z = np.empty((2 * s - 1, b, self.half), dtype=complex)
+        flat = z.view(float).reshape(2 * s - 1, -1)
+        self.nodal, self.cube = np.empty((s - 1, b, m)), np.empty((b, m))
+        if self.src_coef is not None:
+            self.src_coef, self.src_term = compact(self.src_coef), np.empty((s - 1, flat.shape[1]))
         self.stages = [(coef, z[2 * i - 1], flat[: 2 * i], flat[2 * i], z[2 * i], self.nodal[i - 1])
                        for i, coef in enumerate(self.coefs, start=1)]
 
     def step(self, u_hat, u_vals, t, energies=None):
         """Advance every row from half spectra u_hat (B, half), nodal values
-        u_vals (B, m), at time t (a float, or one per row).
+        u_vals (B, m), at time t (a float, or one per row). The caller enters
+        np.errstate: blow-ups surface as non-finite values, not as warnings.
 
         Returns (stage half spectra (s, B, half), last stage's nodal values
         (B, m)), both views of the kernel's buffers that the next step
         overwrites; when given, energies[1:] receives the (s-1, B) stage energies.
         """
-        sys, z, mob, m = self.sys, self.z, self.mob, self.sys.grid.m
-        src = None if sys.source is None else sys.source_spectrum(t + self.ctau)
+        sys, z, cube, m = self.sys, self.z, self.cube, self.sys.grid.m
+        src = self.src_term
+        if src is not None:
+            f = sys.source_spectrum(t + self.ctau)
+            np.einsum("ijk,jk->ik", self.src_coef, f.view(float).reshape(len(f), -1), out=src)
         z[0] = u_hat
         vals = u_vals
-        # blow-ups surface as non-finite energies; keep them quiet here
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, (coef, x_row, rows, out, u_row, u_nodal) in enumerate(self.stages):
-                x = np.fft.rfft(sys.nonlinearity(vals, stabilized=True), out=x_row)
-                x *= mob
-                if src is not None:
-                    x -= src[i]
-                np.einsum("jk,jk->k", coef, rows, out=out)
-                vals = np.fft.irfft(u_row, m, out=u_nodal)
-            if energies is not None:
-                energies[1:] = energy_from_spectrum(sys, z[2::2], self.nodal)
+        for i, (coef, x_row, rows, out, u_row, u_nodal) in enumerate(self.stages):
+            np.fft.rfft(sys.force_cubic(vals, out=cube), out=x_row)
+            np.einsum("jk,jk->k", coef, rows, out=out)
+            if src is not None:
+                out += src[i]
+            vals = np.fft.irfft(u_row, m, out=u_nodal)
+        if energies is not None:
+            energies[1:] = energy_from_spectrum(sys, z[2::2], self.nodal)
         return z[::2], vals
 
 
@@ -177,7 +181,8 @@ def step(
     u_hat, u_vals = u_prev.spectrum[None, : kernel.half], u_prev.values[None]
     energies = np.empty((tab.s, 1))
     energies[0] = energy_from_spectrum(sys, u_hat, u_vals)
-    half, _ = kernel.step(u_hat, u_vals, t_prev, energies)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half, _ = kernel.step(u_hat, u_vals, t_prev, energies)
     spectra = np.empty((tab.s, m), dtype=complex)
     spectra[:, : kernel.half] = half[:, 0]
     # real fields: the negative frequencies mirror the positive ones
@@ -207,16 +212,17 @@ def evolve(
     record = np.empty((n_steps, tab.s, 1))
     u_hat, vals = u0.spectrum[None, : kernel.half], u0.values[None]
     e_init = energy_from_spectrum(sys, u_hat[0], vals[0])
-    for n in range(n_steps):
-        spectra, vals = kernel.step(u_hat, vals, t0 + n * tau, record[n])
-        u_hat = spectra[-1]
-        if not math.isfinite(record[n, -1, 0]):
-            trace = _build_trace(e_init, times[: n + 1], record[: n + 1, :, 0], record_stages)
-            raise IntegrationDiverged(
-                f"{tab.name}: non-finite state after step {n + 1} (t={times[n]:.6g})",
-                steps_completed=n + 1,
-                trace=trace,
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            spectra, vals = kernel.step(u_hat, vals, t0 + n * tau, record[n])
+            u_hat = spectra[-1]
+            if not math.isfinite(record[n, -1, 0]):
+                trace = _build_trace(e_init, times[: n + 1], record[: n + 1, :, 0], record_stages)
+                raise IntegrationDiverged(
+                    f"{tab.name}: non-finite state after step {n + 1} (t={times[n]:.6g})",
+                    steps_completed=n + 1,
+                    trace=trace,
+                )
     u = Field(values=vals[0].copy()) if n_steps else u0
     return u, _build_trace(e_init, times, record[:, :, 0], record_stages)
 

@@ -142,8 +142,18 @@ class SpectralSystem:
         """Symbol of M L_kappa: -k^2 (eps^2 k^2 + kappa), nonpositive."""
         return self._mob * (self._stiff + self.kappa)
 
+    def force_slope(self, stabilized: bool = False) -> float:
+        """Linear part of the force: 1 in g(u) = u - u^3, 1 + kappa in g_kappa(u)."""
+        return 1.0 + self.kappa if stabilized else 1.0
+
+    def force_cubic(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Cubic part u^3 of the force (subtracted), written into `out` when given."""
+        out = np.multiply(u, u, out=out)
+        out *= u
+        return out
+
     def nonlinearity(self, u: np.ndarray, stabilized: bool = False) -> np.ndarray:
-        return u * ((1.0 + self.kappa if stabilized else 1.0) - u * u)
+        return self.force_slope(stabilized) * u - self.force_cubic(u)
 
     def source_spectrum(self, t) -> Optional[np.ndarray]:
         """rfft half spectra of the forcing at the time(s) t, shape t.shape + (half,):
@@ -181,11 +191,6 @@ def apply_operator(sys: SpectralSystem, which: str, u: Field) -> Field:
     return Field(spectrum=symbol * u.spectrum)
 
 
-def nonlinear(sys: SpectralSystem, u: Field, stabilized: bool = False) -> Field:
-    """Pointwise double-well force u - u^3 (+ kappa*u when stabilized)."""
-    return Field(values=sys.nonlinearity(u.values, stabilized))
-
-
 def energy(sys: SpectralSystem, u: Field) -> float:
     """Discrete free energy, h-weighted so values track the integral.
 
@@ -199,12 +204,11 @@ def energy(sys: SpectralSystem, u: Field) -> float:
 def energy_from_spectrum(sys: SpectralSystem, half_spectrum: np.ndarray, values: np.ndarray):
     """Energies from rfft half spectra and nodal values, one field per row of
     any leading axes (a scalar for a single field)."""
-    # real and imaginary views: a strided spectrum is read in place, not copied
-    re, im, w = half_spectrum.real, half_spectrum.imag, sys._energy_weights
     q = values * values
     q -= 1.0
-    return (np.einsum("...k,...k,k->...", re, re, w) + np.einsum("...k,...k,k->...", im, im, w)
-            + (0.25 * sys.grid.h) * np.einsum("...k,...k->...", q, q))
+    # vecdot conjugates its first argument and reads any strides in place
+    return (np.vecdot(half_spectrum, half_spectrum * sys._energy_weights).real
+            + (0.25 * sys.grid.h) * np.vecdot(q, q))
 
 
 def lambda_ml_bar(sys: SpectralSystem) -> float:

@@ -13,6 +13,7 @@ binary64. Conversion to float happens only at the linear-algebra boundary.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,10 +31,6 @@ _SQRT2 = math.sqrt(2.0)
 
 #: Validation tolerance for tableaux holding float coefficients.
 FLOAT_TOL = 1e-12
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
 
 
 def as_scalar(value) -> Scalar:
@@ -82,9 +79,10 @@ class ImexTableau:
     params: Mapping[str, Scalar] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(self.c))
-        object.__setattr__(self, "A", tuple(tuple(r) for r in self.A))
-        object.__setattr__(self, "A_hat", tuple(tuple(r) for r in self.A_hat))
+        # ints become Fractions, so that an int-built tableau is exact throughout
+        object.__setattr__(self, "c", tuple(map(as_scalar, self.c)))
+        object.__setattr__(self, "A", tuple(tuple(map(as_scalar, r)) for r in self.A))
+        object.__setattr__(self, "A_hat", tuple(tuple(map(as_scalar, r)) for r in self.A_hat))
         object.__setattr__(self, "params", dict(self.params))
         validate_tableau(self)
 
@@ -104,12 +102,10 @@ class ImexTableau:
     def b_hat(self) -> tuple:
         return self.A_hat[-1]
 
-    @property
+    @cached_property
     def exact(self) -> bool:
-        entries = list(self.c)
-        entries += [x for r in self.A for x in r]
-        entries += [x for r in self.A_hat for x in r]
-        return all(_is_exact(x) for x in entries)
+        """Every entry is a Fraction."""
+        return all(isinstance(x, Fraction) for x in itertools.chain(self.c, *self.A, *self.A_hat))
 
     @property
     def kind(self) -> str:
@@ -413,7 +409,7 @@ def _build_ierk3_1(a55):
             a55,
         ),
     )
-    c = _C5 if _is_exact(a55) else tuple(float(x) for x in _C5)
+    c = _C5 if isinstance(a55, Fraction) else tuple(float(x) for x in _C5)
     return c, A, _EXPLICIT_5
 
 
@@ -438,7 +434,7 @@ def _build_ierk3_2(a43):
             _f(18, 25) + z,
         ),
     )
-    c = _C5 if _is_exact(a43) else tuple(float(x) for x in _C5)
+    c = _C5 if isinstance(a43, Fraction) else tuple(float(x) for x in _C5)
     return c, A, _EXPLICIT_5
 
 
@@ -469,7 +465,7 @@ def _build_ierk3_radau(ahat43):
             _f(0),
         ),
     )
-    if not _is_exact(ahat43):
+    if not isinstance(ahat43, Fraction):
         c = tuple(float(x) for x in c)
     return c, A, Ah
 

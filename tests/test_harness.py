@@ -240,7 +240,7 @@ _CONVERGE_CFG = {"method": "IERK1", "params": {"theta": 0.5}, "m": 32, "tau_grid
      "config key 'tau_grid' is missing"),
     # keys a command would ignore or overwrite
     ("converge", _CONVERGE_CFG, ["--initial", "tanh-bumps"],
-     "cannot parse coefficient 'tanh-bumps'"),
+     "converge has no option --initial; IERK1 takes the parameters: theta"),
     ("converge", {**_CONVERGE_CFG, "initial": "tanh-bumps"}, [],
      "converge forces config key 'initial' to 'sine', got 'tanh-bumps'"),
     ("converge", {**_CONVERGE_CFG, "source": "none"}, [],
@@ -477,6 +477,20 @@ def test_cli_parser_errors_are_one_line(args, message, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["converge", "IERK1", "--theta", "1", "--tau-grid", "0.1,0.05", "--initial", "tanh-bumps"],
+     "converge has no option --initial; IERK1 takes the parameters: theta"),
+    (["certify", "IERK2-1", "--c2", "1", "--a33", "1", "--a44", "1"],
+     "certify has no option --a44; IERK2-1 takes the parameters: c2, a33"),
+    (["verify", "IERK4-A1", "--theta", "1"],
+     "verify has no option --theta; IERK4-A1 takes no parameters"),
+    (["verify", "IERK1", "--theta", "x"], "cannot parse coefficient 'x'"),
+])
+def test_cli_unknown_flag_names_the_flag(args, message, capsys):
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_converge_divergent_rows_are_null(capsys):
     rc = main(["converge", "IERK3-4stage", "--a22", "2", "--kappa", "4",
                "--tau-grid", "0.1,0.05"])
@@ -484,6 +498,47 @@ def test_cli_converge_divergent_rows_are_null(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert not rep["ok"]
     assert all(r["error"] is None for r in rep["rows"])
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _cli_strict_report(argv, tmp_path, capsys):
+    """(exit code, report.json parsed as strict JSON, stderr); stdout must match the file."""
+    out_dir = tmp_path / "run"
+    code = main([*argv, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    report = _strict_json((out_dir / "report.json").read_text())
+    assert _strict_json(captured.out) == report
+    return code, report, captured.err
+
+
+def test_cli_evolve_without_steps_writes_strict_json(tmp_path, capsys):
+    # tau > t_final: no step, so no stage rise to report
+    code, report, _ = _cli_strict_report(
+        ["evolve", "IERK1", "--theta", "1", "--tau", "0.2", "--t-final", "0.05"], tmp_path, capsys)
+    assert code == 0 and report["steps"] == 0
+    assert report["max_increase"] is None and report["max_relative_increase"] is None
+
+
+def test_cli_evolve_blow_up_writes_strict_json(tmp_path, capsys):
+    code, report, _ = _cli_strict_report(
+        ["evolve", "IERK3-4stage", "--a22", "1", "--tau", "0.5", "--kappa", "0",
+         "--t-final", "50"], tmp_path, capsys)
+    assert code == 1 and report["diverged"]
+    assert report["final_energy"] is None
+
+
+def test_cli_certify_overflowing_minor_writes_strict_json(tmp_path, capsys):
+    code, report, err = _cli_strict_report(["certify", "IERK3-1", "--a55", "1e300"],
+                                           tmp_path, capsys)
+    assert code == 1 and err == ""
+    witness = report["witnesses"][0]
+    assert witness["determinant"] is None and witness["exact"].startswith("-")
 
 
 def test_cli_custom_tableau_file(tmp_path, capsys):

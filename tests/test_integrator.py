@@ -49,8 +49,11 @@ def test_mass_conservation(bench_sys, rng):
 class _LinearizedSystem(SpectralSystem):
     """Nonlinearity replaced by zero: only the kappa shift survives."""
 
-    def nonlinearity(self, u, stabilized=False):
-        return self.kappa * u if stabilized else 0.0 * u
+    def force_slope(self, stabilized=False):
+        return self.kappa if stabilized else 0.0
+
+    def force_cubic(self, u, out=None):
+        return np.multiply(u, 0.0, out=out)
 
 
 def _scalar_stage_oracle(tab, tau, msym, lsym_kappa, kappa):
@@ -77,7 +80,7 @@ def test_linear_single_mode_amplification(name, params):
     tau = 0.37
     u0 = Field(values=np.sin(3 * sys.grid.x) + 0.5 * np.cos(7 * sys.grid.x))
     out = step(sys, tab, u0, 0.0, tau).result
-    # evolve must call the overridden nonlinearity too
+    # evolve must use the overridden force split too
     out3, _ = evolve(sys, tab, u0, tau, 3)
     for k in (3, 7):
         amp = out.spectrum[k] / u0.spectrum[k]
@@ -169,13 +172,13 @@ def test_evolve_divergence_carries_trace():
 
 
 class _CountingSystem(SpectralSystem):
-    """Counts nonlinearity evaluations, i.e. the stage work actually done."""
+    """Counts cubic evaluations, i.e. the stage work actually done."""
 
     calls = 0
 
-    def nonlinearity(self, u, stabilized=False):
+    def force_cubic(self, u, out=None):
         type(self).calls += 1
-        return super().nonlinearity(u, stabilized)
+        return super().force_cubic(u, out)
 
 
 def test_non_invertible_stage(monkeypatch):
@@ -429,3 +432,31 @@ def test_run_converge_matches_sequential_runs():
             ref = [_sequential_max_norm_error(sys, registry(name, params), tau, round(1.0 / tau))
                    for tau in grid]
             assert np.abs(np.subtract(errs, ref)).max() <= 1e-13, (name, params)
+
+
+def test_run_converge_freezes_diverged_rows(monkeypatch):
+    from ierk.harness import build_system, run_converge
+
+    # the two smaller steps blow up within the first 16 of their 20 and 40 steps
+    cfg = {"method": "IERK3-1", "params": {"a55": 0.3}, "kappa": 4.0, "epsilon": 0.2,
+           "t_final": 1.0, "tau_grid": [0.1, 0.05, 0.025]}
+    kernel_step, steps = _StageKernel.step, []
+
+    def counting_step(self, *args, **kwargs):
+        steps.append(None)
+        return kernel_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(_StageKernel, "step", counting_step)
+    errs = [r.error for r in run_converge(cfg).rows]
+    monkeypatch.undo()
+    # a diverged row leaves the batch, and the batch stops once no row is live
+    assert len(steps) < 40
+    alone = [run_converge({**cfg, "tau_grid": [tau]}).rows[0].error for tau in cfg["tau_grid"]]
+    assert errs[1:] == alone[1:] == [math.inf, math.inf]
+    assert abs(errs[0] - alone[0]) <= 1e-13
+    # the plain stage loop diverges on the same rows
+    sys = build_system({**cfg, "source": "manufactured"})
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [_sequential_max_norm_error(sys, registry("IERK3-1", {"a55": 0.3}), tau,
+                                          round(1.0 / tau)) for tau in cfg["tau_grid"]]
+    assert math.isfinite(ref[0]) and ref[1:] == [math.inf, math.inf]

@@ -15,7 +15,6 @@ from ierk.spectral import (
     initial_field,
     lambda_ml_bar,
     manufactured_source,
-    nonlinear,
     tanh_gaussian_bumps,
     variational_derivative,
 )
@@ -101,12 +100,12 @@ def test_operator_symmetry(sys256, rng):
 def test_nonlinear_values():
     sys = SpectralSystem(SpectralGrid(0.0, TWO_PI, 64), epsilon=0.1, kappa=2.0)
     ones = Field(values=np.ones(64))
-    assert np.abs(nonlinear(sys, ones).values).max() == 0.0
+    assert np.abs(sys.nonlinearity(ones.values)).max() == 0.0
     zeros = Field(values=np.zeros(64))
-    assert np.abs(nonlinear(sys, zeros, stabilized=True).values).max() == 0.0
+    assert np.abs(sys.nonlinearity(zeros.values, stabilized=True)).max() == 0.0
     half = Field(values=np.full(64, 0.5))
-    assert nonlinear(sys, half).values == pytest.approx(np.full(64, 0.375))
-    assert nonlinear(sys, half, stabilized=True).values == pytest.approx(np.full(64, 0.375 + 1.0))
+    assert sys.nonlinearity(half.values) == pytest.approx(np.full(64, 0.375))
+    assert sys.nonlinearity(half.values, stabilized=True) == pytest.approx(np.full(64, 0.375 + 1.0))
 
 
 def test_energy_reference_states(sys256):

@@ -7,6 +7,7 @@ import pytest
 from ierk.errors import DegenerateParameters, InvalidTableau, UnknownMethod
 from ierk.tableau import (
     METHOD_NAMES,
+    ImexTableau,
     check_order_conditions,
     load_tableau,
     reduced_matrices,
@@ -233,6 +234,27 @@ def test_json_accepts_decimal_and_rational_strings():
     t = tableau_from_dict(obj)
     assert t.exact
     assert t.A[1][0] == F(1, 2) and t.A[1][1] == F(1, 2)
+
+
+def test_int_entries_give_exact_fractions():
+    from ierk.dissipation import differentiation_pair
+
+    t = ImexTableau(name="x", c=(0, 1), A=((0, 0), (0, 1)), A_hat=((0, 0), (1, 0)))
+    assert t.exact
+    assert all(type(x) is F for x in t.c + t.A[1] + t.A_hat[1])
+    pair = differentiation_pair(t)
+    assert pair.exact_d_e == ((F(1),),) and pair.exact_d_ei == ((F(1, 2),),)
+    assert all(type(x) is F for row in pair.exact_d_e + pair.exact_d_ei for x in row)
+
+
+def test_exact_is_computed_once(monkeypatch):
+    from ierk import tableau
+
+    t = registry("IERK3-1", {"a55": F(4, 5)})
+    assert t.exact
+    # a rescan would no longer recognize the entries as Fractions
+    monkeypatch.setattr(tableau, "Fraction", type("NotFraction", (), {}))
+    assert t.exact
 
 
 def test_json_rejects_bad_row_sums():
