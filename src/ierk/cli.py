@@ -9,9 +9,9 @@
 
 Method parameters ride along as plain flags (`--c2 1 --a33 0.5`) or as
 repeated `--p NAME=VALUE`; values parse exactly ("0.5" and "1/2" are the
-same rational). All subcommands accept --config (JSON object with
-experiment keys; flags override its entries) and --out DIR (write
-report.json plus table.csv / trace.csv / plot.svg as applicable).
+same rational). All subcommands accept --config (JSON object of the keys of
+`harness.Experiment`; an option of the same name overrides one) and --out DIR
+(write report.json plus table.csv / trace.csv / plot.svg as applicable).
 Exit codes: 0 success, 1 a requested check failed, 2 invalid configuration
 or parameters.
 """
@@ -27,6 +27,7 @@ import sys as _sys
 
 from . import harness
 from .errors import IerkError
+from .spectral import SpectralGrid
 from .tableau import FAMILIES, as_scalar
 
 EXIT_OK = 0
@@ -109,15 +110,14 @@ def _split_params(ap, argv):
     return rest, params
 
 
-def _merge_config(args, keys):
-    cfg = dict(harness.load_config(args.config)) if getattr(args, "config", None) else {}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "tableau", None):
-        cfg["tableau_file"] = args.tableau
-    flags = getattr(args, "extra_params", {})
+def _merge_config(args):
+    """The config file's mapping, with every experiment key the subcommand's
+    options set and the method parameters from `--p` and plain flags."""
+    cfg = harness.load_config(args.config) if args.config else {}
+    for key in harness.CONFIG_SCHEMA:
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    flags = args.extra_params
     _check_flags(args.command, cfg, flags)
     extra = {**_parse_params(getattr(args, "p", None)),
              **{name: as_scalar(value) for name, value in flags.items()}}
@@ -147,11 +147,16 @@ def _emit(outdir, report):
 def _add_common(p, method_positional=True):
     if method_positional:
         p.add_argument("method", nargs="?", help="registry method id")
-    p.add_argument("--tableau", help="JSON tableau file instead of a registry id")
+    p.add_argument("--tableau", dest="tableau_file",
+                   help="JSON tableau file instead of a registry id")
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--out", help="output directory")
     p.add_argument("--p", action="append", metavar="NAME=VALUE",
                    help="method parameter (repeatable)")
+
+
+def float_list(text):
+    return [float(x) for x in text.split(",")]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,7 +199,7 @@ def build_parser():
         p.add_argument("--kappa", type=float)
         p.add_argument("--t-final", dest="t_final", type=float)
         if name == "converge":
-            p.add_argument("--tau-grid", dest="tau_grid",
+            p.add_argument("--tau-grid", dest="tau_grid", type=float_list,
                            help="comma-separated decreasing step sizes")
         else:
             p.add_argument("--initial", choices=("sine", "tanh-bumps"))
@@ -223,26 +228,23 @@ def _dispatch(args) -> int:
     outdir = harness.ensure_outdir(getattr(args, "out", None))
 
     if args.command == "verify":
-        cfg = _merge_config(args, ("method",))
-        tab = harness.resolve_method(cfg)
+        tab = harness.resolve_method(_merge_config(args))
         report = harness.run_verify(tab, tol=args.tol)
         _emit(outdir, report)
         return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
     if args.command == "certify":
-        cfg = _merge_config(args, ("method",))
-        tab = harness.resolve_method(cfg)
+        tab = harness.resolve_method(_merge_config(args))
         report = harness.run_certify(tab, tol=args.tol)
         _emit(outdir, report)
         return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
     if args.command == "scan":
-        cfg = _merge_config(args, ("method",))
-        family = getattr(args, "method", None) or cfg.get("method")
-        if not family:
+        exp = harness.Experiment.parse(_merge_config(args))
+        if not exp.method:
             raise ValueError("scan needs a method family")
-        fixed = {k: as_scalar(v) for k, v in (cfg.get("params") or {}).items()}
-        report = harness.run_scan(family, args.symbol, args.lo, args.hi, args.step,
+        fixed = {k: as_scalar(v) for k, v in exp.params.items()}
+        report = harness.run_scan(exp.method, args.symbol, args.lo, args.hi, args.step,
                                   fixed=fixed, target=args.target)
         rows = report.pop("rows")
         if outdir:
@@ -272,10 +274,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "converge":
-        cfg = _merge_config(args, ("method", "m", "epsilon", "kappa", "t_final"))
-        if getattr(args, "tau_grid", None):
-            cfg["tau_grid"] = [float(x) for x in str(args.tau_grid).split(",")]
-        table = harness.run_converge(cfg)
+        table = harness.run_converge(_merge_config(args))
         report = {
             "method": table.method,
             "params": table.params,
@@ -302,9 +301,7 @@ def _dispatch(args) -> int:
         return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
     if args.command == "evolve":
-        cfg = _merge_config(
-            args, ("method", "m", "epsilon", "kappa", "t_final", "tau", "initial", "record_stages"),
-        )
+        cfg = _merge_config(args)
         trace, summary, final = harness.run_evolve(cfg)
         if outdir:
             harness.write_trace_csv(os.path.join(outdir, "trace.csv"), trace)
@@ -312,9 +309,7 @@ def _dispatch(args) -> int:
                 tab = harness.resolve_method(cfg)
                 harness.write_stage_csv(os.path.join(outdir, "stages.csv"), trace, tab)
             if final is not None:
-                from .spectral import SpectralGrid
-
-                grid = SpectralGrid(summary["domain"][0], summary["domain"][1], summary["m"])
+                grid = SpectralGrid(*summary["domain"], summary["m"])
                 harness.write_field_csv(os.path.join(outdir, "snapshot.csv"), grid, final)
             if len(trace):
                 harness.svg_line_plot(

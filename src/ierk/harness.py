@@ -1,9 +1,11 @@
 """Experiment drivers: verification, certification, scans, convergence and
 energy-decay studies, with CSV/JSON/SVG emission.
 
-Every experiment is described by a flat config mapping (usually parsed from a
-JSON file, with CLI flags overriding individual keys) and returns plain data
-structures; writers turn them into files under an output directory.
+An experiment is one frozen `Experiment`, read once from a flat config mapping
+(usually a JSON file, with CLI flags overriding keys) by `Experiment.parse`; the
+mapping entry points (`build_system`, `resolve_method`, `run_converge`,
+`run_evolve`) parse their mapping inside. Drivers return plain data structures;
+writers turn them into files under an output directory.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -33,17 +35,6 @@ MAX_STEPS = 10**6
 
 TWO_PI = 2.0 * math.pi
 
-DEFAULT_CONFIG = {
-    "domain": (0.0, TWO_PI),
-    "m": 256,
-    "epsilon": 0.2,
-    "kappa": 0.0,
-    "source": "none",
-    "initial": "sine",
-    "t_final": 1.0,
-    "record_stages": False,
-}
-
 
 def _number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
@@ -53,36 +44,109 @@ def _numbers(x) -> bool:
     return isinstance(x, (list, tuple)) and all(map(_number, x))
 
 
+def _key(default, valid, expected):  # a config key's default, value check and what it expects
+    return field(default=default, metadata={"check": (valid, expected)})
+
+
 _NUMBER = (_number, "a number")
 _TEXT = (lambda x: x is None or isinstance(x, str), "a string")
 
-#: The scene of an energy-decay run (`run_evolve` and its reference run).
-EVOLVE_DEFAULTS = {**DEFAULT_CONFIG, "domain": (-math.pi, math.pi), "epsilon": 0.1,
-                   "initial": "tanh-bumps", "t_final": 150.0}
 
-#: Every key an experiment config may hold, with a check of its value and
-#: what the check expects; "experiment" only labels the config.
-CONFIG_SCHEMA = {
-    "domain": (lambda x: _numbers(x) and len(x) == 2, "a pair of numbers"),
-    "m": (lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool), "an integer"),
-    "epsilon": _NUMBER,
-    "kappa": _NUMBER,
-    "source": _TEXT,
-    "initial": _TEXT,
-    "t_final": _NUMBER,
-    "record_stages": (lambda x: isinstance(x, bool), "true or false"),
-    "experiment": _TEXT,
-    "method": _TEXT,
-    "params": (lambda x: x is None or isinstance(x, Mapping) and all(
-        _number(v) or isinstance(v, str) for v in x.values()), "an object of numbers or strings"),
-    "tableau_file": _TEXT,
-    "tau": _NUMBER,
-    "tau_grid": (_numbers, "a list of numbers"),
-    "reference": (lambda x: x is None or isinstance(x, Mapping), "an object"),
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: each field is one config key, with its default and the check of
+    its value. `parse` is the only reader of a config mapping: it checks the keys and
+    values, applies the command's rules (`COMMANDS`) and converts the numbers once."""
+
+    experiment: Optional[str] = _key(None, *_TEXT)  # only labels the config
+    method: Optional[str] = _key(None, *_TEXT)
+    params: Optional[Mapping] = _key(None, lambda x: x is None or isinstance(x, Mapping) and all(
+        _number(v) or isinstance(v, str) for v in x.values()), "an object of numbers or strings")
+    tableau_file: Optional[str] = _key(None, *_TEXT)
+    domain: tuple = _key((0.0, TWO_PI), lambda x: _numbers(x) and len(x) == 2, "a pair of numbers")
+    m: int = _key(256, lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool),
+                  "an integer")
+    epsilon: float = _key(0.2, *_NUMBER)
+    kappa: float = _key(0.0, *_NUMBER)
+    source: Optional[str] = _key("none", *_TEXT)
+    initial: Optional[str] = _key("sine", *_TEXT)
+    t_final: float = _key(1.0, *_NUMBER)
+    tau: Optional[float] = _key(None, *_NUMBER)
+    tau_grid: Optional[tuple] = _key(None, _numbers, "a list of numbers")
+    record_stages: bool = _key(False, lambda x: isinstance(x, bool), "true or false")
+    reference: Optional[Mapping] = _key(None, lambda x: x is None or isinstance(x, Mapping),
+                                        "an object")
+
+    @classmethod
+    def parse(cls, cfg: Mapping, command: Optional[str] = None) -> "Experiment":
+        """The experiment `cfg` describes for `command`; a one-line ValueError
+        names the first key or value that is wrong."""
+        _check_keys(cfg, CONFIG_SCHEMA, "config ")
+        ref = cfg.get("reference")
+        if ref:
+            _check_keys(ref, REFERENCE_KEYS, "reference config ")
+            if not ref.get("method"):
+                raise ValueError("reference config needs a 'method'")
+        defaults, forced, required, refused = COMMANDS[command]
+        unused = [key for key in refused if key in cfg]
+        if unused:
+            raise ValueError(f"{command} does not use config key {', '.join(map(repr, unused))}")
+        if required and required not in cfg:
+            raise ValueError(f"config key {required!r} is missing")
+        exp = cls(**{**defaults, **cfg})
+        for k, v in forced.items():
+            if getattr(exp, k) != v:
+                raise ValueError(f"{command} forces config key {k!r} to {v!r}, got {cfg[k]!r}")
+        if exp.tableau_file and exp.params:
+            raise ValueError(f"a tableau file takes no parameters, got {', '.join(exp.params)}")
+        if exp.source not in ("none", "manufactured"):
+            raise ValueError(f"unknown source {exp.source!r} (use none | manufactured)")
+        epsilon, kappa = float(exp.epsilon), float(exp.kappa)
+        if not (math.isfinite(epsilon) and math.isfinite(kappa)):
+            raise ValueError(f"epsilon and kappa must be finite, got epsilon={epsilon}, kappa={kappa}")
+        if not math.isfinite(epsilon * epsilon):
+            raise ValueError(f"epsilon**2 must be finite, got epsilon={epsilon}")
+        return replace(
+            exp, params=dict(exp.params or {}), domain=tuple(map(float, exp.domain)), m=int(exp.m),
+            epsilon=epsilon, kappa=kappa, t_final=float(exp.t_final),
+            tau=None if exp.tau is None else float(exp.tau),
+            tau_grid=None if exp.tau_grid is None else tuple(map(float, exp.tau_grid)),
+            reference={"method": ref["method"], "params": dict(ref.get("params") or {}),
+                       "tau": float(ref.get("tau", REFERENCE_TAU))} if ref else None)
+
+    def system(self) -> SpectralSystem:
+        lo, hi = self.domain
+        source = spectral.MANUFACTURED_SOURCE if self.source == "manufactured" else None
+        return SpectralSystem(grid=SpectralGrid(lo, hi, self.m), epsilon=self.epsilon,
+                              kappa=self.kappa, source=source)
+
+    def tableau(self) -> ImexTableau:
+        if self.tableau_file:
+            return load_tableau(self.tableau_file)
+        if not self.method:
+            raise ValueError("no method given (positional METHOD or config key 'method')")
+        return registry(self.method, self.params)
+
+    def reference_run(self) -> "Experiment":
+        """The fine-step run of this scene with the reference's method, params and tau."""
+        return replace(self, **self.reference, reference=None, tableau_file=None,
+                       record_stages=False)
+
+
+#: Every config key, with a check of its value and what the check expects.
+CONFIG_SCHEMA = {f.name: f.metadata["check"] for f in fields(Experiment)}
+
+#: Per command (None for verify, certify and scan): the defaults that differ
+#: from the fields, the keys it forces, the key it requires and the keys it refuses.
+COMMANDS = {
+    None: ({}, {}, None, ()),
+    "converge": ({"source": "manufactured"}, {"source": "manufactured", "initial": "sine"},
+                 "tau_grid", ("tau", "record_stages", "reference")),
+    "evolve": ({"domain": (-math.pi, math.pi), "epsilon": 0.1, "initial": "tanh-bumps",
+                "t_final": 150.0}, {}, "tau", ("tau_grid",)),
 }
 
-#: The keys of the `reference` sub-config, which `reference_trace` reads, and
-#: the reference step when it gives none.
+#: The keys of the `reference` sub-config, and the reference step when it gives none.
 REFERENCE_KEYS = ("method", "params", "tau")
 REFERENCE_TAU = 1e-3
 
@@ -97,32 +161,12 @@ def _check_keys(cfg: Mapping, allowed, where: str) -> None:
             raise ValueError(f"{where}key {key!r} must be {expected}, got {value!r}")
 
 
-def check_config(cfg: Mapping) -> None:
-    """Reject unknown keys and values of the wrong type, in the config and in
-    its `reference` sub-config, with a one-line ValueError."""
-    _check_keys(cfg, CONFIG_SCHEMA, "config ")
-    ref = cfg.get("reference")
-    if ref:
-        _check_keys(ref, REFERENCE_KEYS, "reference config ")
-        if not ref.get("method"):
-            raise ValueError("reference config needs a 'method'")
-
-
 def build_system(cfg: Mapping) -> SpectralSystem:
-    check_config(cfg)
-    lo, hi = cfg.get("domain", DEFAULT_CONFIG["domain"])
-    grid = SpectralGrid(float(lo), float(hi), int(cfg.get("m", 256)))
-    source_key = cfg.get("source", "none")
-    if source_key == "none":
-        source = None
-    elif source_key == "manufactured":
-        source = spectral.MANUFACTURED_SOURCE
-    else:
-        raise ValueError(f"unknown source {source_key!r} (use none | manufactured)")
-    epsilon, kappa = float(cfg.get("epsilon", 0.2)), float(cfg.get("kappa", 0.0))
-    if not (math.isfinite(epsilon) and math.isfinite(kappa)):
-        raise ValueError(f"epsilon and kappa must be finite, got epsilon={epsilon}, kappa={kappa}")
-    return SpectralSystem(grid=grid, epsilon=epsilon, kappa=kappa, source=source)
+    return Experiment.parse(cfg).system()
+
+
+def resolve_method(cfg: Mapping) -> ImexTableau:
+    return Experiment.parse(cfg).tableau()
 
 
 def step_count(t_final: float, tau: float, key: str = "tau") -> int:
@@ -138,26 +182,6 @@ def step_count(t_final: float, tau: float, key: str = "tau") -> int:
     if ratio > MAX_STEPS:
         raise ValueError(f"t_final / {key} = {ratio:.3g} steps; at most {MAX_STEPS} are allowed")
     return round(ratio)
-
-
-def _reject_keys(cfg: Mapping, keys, command: str) -> None:
-    unused = [key for key in keys if key in cfg]
-    if unused:
-        raise ValueError(f"{command} does not use config key {', '.join(map(repr, unused))}")
-
-
-def _required(cfg: Mapping, key: str):
-    if key not in cfg:
-        raise ValueError(f"config key {key!r} is missing")
-    return cfg[key]
-
-
-def resolve_method(cfg: Mapping) -> ImexTableau:
-    if cfg.get("tableau_file"):
-        return load_tableau(cfg["tableau_file"])
-    if not cfg.get("method"):
-        raise ValueError("no method given (positional METHOD or config key 'method')")
-    return registry(cfg["method"], cfg.get("params") or {})
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +312,9 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
     non-finite records an infinite error, leaves at once and touches no other.
     The solution starts from the sine, and a single run's keys are refused.
     """
-    forced = {"source": "manufactured", "initial": "sine"}
-    for key, value in forced.items():
-        if cfg.get(key, value) != value:
-            raise ValueError(f"converge forces config key {key!r} to {value!r}, got {cfg[key]!r}")
-    _reject_keys(cfg, ("tau", "record_stages", "reference"), "converge")
-    cfg = {**DEFAULT_CONFIG, **cfg, **forced}
-    sys = build_system(cfg)
-    tab = resolve_method(cfg)
-    t_final = float(cfg["t_final"])
-    taus = [float(t) for t in _required(cfg, "tau_grid")]
+    exp = Experiment.parse(cfg, "converge")
+    sys, tab = exp.system(), exp.tableau()
+    t_final, taus = exp.t_final, list(exp.tau_grid)
     if not taus:
         raise ValueError("tau_grid must hold at least one step size")
     if any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])):
@@ -344,7 +361,7 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
     return ConvergenceTable(
         method=tab.name,
         params={k: str(v) for k, v in tab.params.items()},
-        kappa=float(cfg["kappa"]),
+        kappa=exp.kappa,
         rows=tuple(rows),
     )
 
@@ -361,24 +378,19 @@ def run_evolve(cfg: Mapping) -> tuple:
     run is configured) the trapezoidal deviation integral(|E - E_ref|) dt on
     the coarse time grid. final_field is None when the run diverged.
     """
-    _reject_keys(cfg, ("tau_grid",), "evolve")
-    cfg = {**EVOLVE_DEFAULTS, **cfg}
-    sys = build_system(cfg)
-    tab = resolve_method(cfg)
-    tau = float(_required(cfg, "tau"))
-    n_steps = step_count(float(cfg["t_final"]), tau)
-    ref_cfg = cfg.get("reference")
-    if ref_cfg:  # a reference step that cannot serve must not cost the main run first
-        ref_tau = float(ref_cfg.get("tau", REFERENCE_TAU))
-        step_count(float(cfg["t_final"]), ref_tau, "reference tau")
-        _reference_stride(tau, ref_tau)
-        registry(ref_cfg["method"], ref_cfg.get("params") or {})
-    u0 = spectral.initial_field(sys.grid, cfg["initial"])
+    exp = Experiment.parse(cfg, "evolve")
+    sys, tab, tau = exp.system(), exp.tableau(), exp.tau
+    n_steps = step_count(exp.t_final, tau)
+    ref = exp.reference and exp.reference_run()
+    if ref:  # a reference step that cannot serve must not cost the main run first
+        step_count(ref.t_final, ref.tau, "reference tau")
+        _reference_stride(tau, ref.tau)
+        ref.tableau()
+    u0 = spectral.initial_field(sys.grid, exp.initial)
     diverged = False
     final = None
     try:
-        final, trace = evolve(sys, tab, u0, tau, n_steps,
-                              record_stages=bool(cfg.get("record_stages", False)))
+        final, trace = evolve(sys, tab, u0, tau, n_steps, record_stages=exp.record_stages)
     except IntegrationDiverged as exc:
         trace = exc.trace
         diverged = True
@@ -386,9 +398,9 @@ def run_evolve(cfg: Mapping) -> tuple:
         "method": tab.name,
         "params": {k: str(v) for k, v in tab.params.items()},
         "tau": tau,
-        "kappa": float(cfg["kappa"]),
-        "domain": [float(x) for x in cfg["domain"]],
-        "m": int(cfg["m"]),
+        "kappa": exp.kappa,
+        "domain": list(exp.domain),
+        "m": exp.m,
         "steps": len(trace),
         "t_end": float(trace.times[-1]) if len(trace) else 0.0,
         "diverged": diverged,
@@ -397,30 +409,23 @@ def run_evolve(cfg: Mapping) -> tuple:
         "max_increase": trace.max_increase,
         "max_relative_increase": trace.max_relative_increase,
     }
-    if ref_cfg and not diverged:
-        ref_trace = reference_trace(cfg, ref_cfg)
-        summary["energy_deviation"] = energy_deviation(trace, ref_trace, tau)
+    if ref and not diverged:
+        summary["energy_deviation"] = energy_deviation(trace, reference_trace(ref), tau)
     return trace, summary, final
 
 
 _REFERENCE_CACHE: dict = {}
 
 
-def reference_trace(cfg: Mapping, ref_cfg: Mapping) -> EnergyTrace:
-    """Fine-step reference energy trace of the run `cfg` describes, with the
-    method, parameters and step of `ref_cfg`; cached per resulting config."""
-    sub = {**EVOLVE_DEFAULTS, **cfg, "method": ref_cfg["method"],
-           "params": ref_cfg.get("params") or {},
-           "tau": float(ref_cfg.get("tau", REFERENCE_TAU)), "record_stages": False}
-    sub.pop("reference", None)
-    sub.pop("tableau_file", None)
-    key = repr(sorted(sub.items()))
+def reference_trace(ref: Experiment) -> EnergyTrace:
+    """Energy trace of the reference run `ref` (see `Experiment.reference_run`),
+    cached per run; the repr keeps 0.5 and "1/2" apart."""
+    key = repr(ref)
     if key not in _REFERENCE_CACHE:
-        sys = build_system(sub)
-        tab = resolve_method(sub)
-        n = step_count(float(sub["t_final"]), sub["tau"], "reference tau")
-        u0 = spectral.initial_field(sys.grid, sub["initial"])
-        _, trace = evolve(sys, tab, u0, sub["tau"], n)
+        sys = ref.system()
+        n = step_count(ref.t_final, ref.tau, "reference tau")
+        u0 = spectral.initial_field(sys.grid, ref.initial)
+        _, trace = evolve(sys, ref.tableau(), u0, ref.tau, n)
         _REFERENCE_CACHE[key] = trace
     return _REFERENCE_CACHE[key]
 
@@ -483,21 +488,6 @@ def write_field_csv(path, grid: SpectralGrid, u: Field) -> None:
         fh.writelines(f"{x!r},{v!r}\n" for x, v in zip(grid.x.tolist(), u.values.tolist()))
 
 
-def read_field_csv(path, grid: SpectralGrid) -> Field:
-    xs, us = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "x,u":
-            raise ValueError(f"{path}: expected an 'x,u' snapshot header")
-        for line in fh:
-            x_str, u_str = line.strip().split(",")
-            xs.append(float(x_str))
-            us.append(float(u_str))
-    if len(us) != grid.m or not np.allclose(xs, grid.x, atol=1e-9):
-        raise ValueError(f"{path}: snapshot nodes do not match the grid")
-    return Field(values=np.array(us))
-
-
 def write_stage_csv(path, trace: EnergyTrace, tab: ImexTableau) -> None:
     if trace.stage_energies is None:
         raise ValueError("run was made without record_stages")
@@ -528,8 +518,9 @@ def svg_line_plot(path, series, title="", logx=False, logy=False,
         raise ValueError("nothing to plot")
     x0, x1 = min(p[0] for p in pts), max(p[0] for p in pts)
     y0, y1 = min(p[1] for p in pts), max(p[1] for p in pts)
-    x1 = x1 if x1 > x0 else x0 + 1.0
-    y1 = y1 if y1 > y0 else y0 + 1.0
+    # a flat axis gets a span that x0 + span can resolve at any magnitude
+    x1 = x1 if x1 > x0 else x0 + max(1.0, abs(x0))
+    y1 = y1 if y1 > y0 else y0 + max(1.0, abs(y0))
 
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
     lines = [
@@ -561,7 +552,7 @@ def load_config(path) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    check_config(cfg)
+    Experiment.parse(cfg)
     return cfg
 
 

@@ -12,6 +12,7 @@ from ierk.errors import DegenerateParameters, UnknownMethod
 from ierk.harness import (
     ConvergenceRow,
     ConvergenceTable,
+    Experiment,
     energy_deviation,
     run_certify,
     run_converge,
@@ -116,12 +117,23 @@ def test_run_evolve_summary_and_reference():
     assert trace.stage_energies is not None
 
 
-def test_reference_trace_cached():
-    cfg = {"tau": 0.1, "kappa": 2.0, "t_final": 1.0}
-    ref_cfg = {"method": "IERK1", "params": {"theta": 0.5}, "tau": 0.05}
-    a = harness.reference_trace(cfg, ref_cfg)
-    b = harness.reference_trace(cfg, ref_cfg)
-    assert a is b
+def test_reference_trace_cached(monkeypatch):
+    monkeypatch.setattr(harness, "_REFERENCE_CACHE", {})
+    cfg = {"method": "IERK2-2", "params": {"a33": 1}, "tau": 0.1, "kappa": 2.0, "t_final": 1.0,
+           "m": 32, "reference": {"method": "IERK1", "params": {"theta": 0.5}, "tau": 0.05}}
+
+    def trace(**changes):
+        return harness.reference_trace(Experiment.parse({**cfg, **changes}, "evolve").reference_run())
+
+    a = trace()
+    # the main run's own method and step do not enter the reference run
+    assert trace() is a and trace(method="IERK1", params={"theta": 1}, tau=0.05) is a
+    # a reference run that differs in m or kappa gets its own entry, and so does
+    # the same theta written as "1/2"
+    others = [trace(m=64), trace(kappa=1.0),
+              trace(reference={**cfg["reference"], "params": {"theta": "1/2"}})]
+    assert all(b is not a for b in others)
+    assert len(harness._REFERENCE_CACHE) == 4
 
 
 def test_energy_deviation_stride_check():
@@ -581,14 +593,112 @@ def test_field_snapshot_bytes_match_write_csv(tmp_path):
 
 
 def test_field_snapshot_round_trip(tmp_path):
-    from ierk.harness import read_field_csv, write_field_csv
+    from ierk.harness import write_field_csv
     from ierk.spectral import Field, SpectralGrid, tanh_gaussian_bumps
 
     grid = SpectralGrid(-math.pi, math.pi, 64)
     u = Field(values=tanh_gaussian_bumps(grid.x))
     path = tmp_path / "snap.csv"
     write_field_csv(path, grid, u)
-    back = read_field_csv(path, grid)
-    assert np.abs(back.values - u.values).max() <= 1e-15
-    with pytest.raises(ValueError):
-        read_field_csv(path, SpectralGrid(-math.pi, math.pi, 128))
+    assert path.read_text().startswith("x,u\n")
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 0], grid.x)
+    assert np.abs(back[:, 1] - u.values).max() <= 1e-15
+
+
+def test_evolve_defaults():
+    # a run given only its method, params and tau gets the energy-decay scene
+    run = {"method": "IERK1", "params": {"theta": 1}, "tau": 0.02}
+    scene = {"domain": [-math.pi, math.pi], "m": 256, "epsilon": 0.1, "kappa": 0.0,
+             "initial": "tanh-bumps", "source": "none", "t_final": 150.0}
+    trace, summary, _ = run_evolve(run)
+    assert summary["domain"] == [-math.pi, math.pi] and summary["m"] == 256
+    assert summary["steps"] == 7500 and summary["kappa"] == 0.0 and not summary["diverged"]
+    other, _, _ = run_evolve({**run, **scene})
+    assert np.array_equal(trace.energies, other.energies)
+    # epsilon = 0.1 is the one value of the scene the summary does not report
+    shifted, _, _ = run_evolve({**run, "epsilon": 0.2})
+    assert not np.array_equal(trace.energies, shifted.energies)
+
+
+def test_converge_defaults():
+    study = {"method": "IERK1", "params": {"theta": 0.5}, "tau_grid": [0.1, 0.05]}
+    scene = {"domain": [0, 2 * math.pi], "m": 256, "epsilon": 0.2, "kappa": 0.0,
+             "initial": "sine", "source": "manufactured", "t_final": 1.0}
+    assert run_converge(study).rows == run_converge({**study, **scene}).rows
+    assert run_converge(study).rows != run_converge({**study, "epsilon": 0.1}).rows
+
+
+def test_parse_converts_numbers_once():
+    cfg = {"method": "IERK1", "params": {"theta": "1/2"}, "tau": 1, "m": 64, "domain": [0, 1],
+           "reference": {"method": "IERK2-1"}}
+    exp = Experiment.parse({**cfg, "tau_grid": [1, 0.5]})
+    assert exp.domain == (0.0, 1.0) and exp.tau_grid == (1.0, 0.5)
+    assert [type(x) for x in (*exp.domain, exp.tau, exp.t_final, exp.epsilon)] == [float] * 5
+    assert exp.reference == {"method": "IERK2-1", "params": {}, "tau": harness.REFERENCE_TAU}
+    ref = Experiment.parse(cfg, "evolve").reference_run()
+    assert (ref.method, ref.params, ref.tau, ref.reference, ref.m, ref.epsilon) == (
+        "IERK2-1", {}, harness.REFERENCE_TAU, None, 64, 0.1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--tableau", "{tab}", "--p", "theta=1"],
+    ["verify", "--config", "{cfg}"],
+    ["evolve", "--config", "{cfg}", "--tau", "0.1", "--t-final", "0.5", "--m", "32"],
+])
+def test_cli_tableau_file_with_params_exits_2(argv, tmp_path, capsys):
+    tab = tmp_path / "crank.json"
+    tab.write_text(json.dumps(tableau_to_dict(registry("IERK1", {"theta": F(1, 2)}))))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tableau_file": str(tab), "params": {"theta": 1}}))
+    out_dir = tmp_path / "run"
+    argv = [{"{tab}": str(tab), "{cfg}": str(cfg)}.get(a, a) for a in argv]
+    assert main([*argv, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: a tableau file takes no parameters, got theta\n"
+    assert not (out_dir / "report.json").exists()
+
+
+def test_cli_evolve_overflowing_epsilon_square_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    rc = main(["evolve", "IERK1", "--theta", "1", "--tau", "0.1", "--t-final", "0.5",
+               "--epsilon", "1e200", "--out", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: epsilon**2 must be finite, got epsilon=1e+200\n"
+    assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["IERK1", "--theta", "1/2"]),
+    ("certify", ["IERK1", "--theta", "1/2"]),
+    ("scan", ["IERK2-1", "--symbol", "c2", "--lo", "0.5", "--hi", "1", "--a33", "1"]),
+])
+@pytest.mark.parametrize("extra, message", [
+    ({"source": "bogus"}, "unknown source 'bogus' (use none | manufactured)"),
+    ({"epsilon": math.inf}, "epsilon and kappa must be finite"),
+    ({"kappa": math.nan}, "epsilon and kappa must be finite"),
+])
+def test_cli_every_command_parses_its_config(command, flags, extra, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(extra))
+    assert main([command, *flags, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_svg_flat_series_at_large_magnitude(tmp_path):
+    from ierk.harness import svg_line_plot
+
+    for level in (3e17, -3e17, 1.5e308, 0.0):
+        path = tmp_path / "plot.svg"
+        svg_line_plot(path, [("flat", [0, 1], [level, level]), ("x", [5e300, 5e300], [1, 2])])
+        text = path.read_text()
+        assert text.startswith("<svg") and "nan" not in text and "inf" not in text
+
+
+def test_cli_evolve_huge_domain_writes_report(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_EVOLVE_CFG, "domain": [0, 1e308], "initial": "sine"}))
+    out_dir = tmp_path / "run"
+    assert main(["evolve", "--config", str(path), "--out", str(out_dir)]) == 0
+    assert _strict_json((out_dir / "report.json").read_text())["domain"] == [0.0, 1e308]
+    assert (out_dir / "plot.svg").read_text().startswith("<svg")
