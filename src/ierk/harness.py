@@ -159,6 +159,9 @@ def _check_keys(cfg: Mapping, allowed, where: str) -> None:
         valid, expected = CONFIG_SCHEMA[key]
         if not valid(value):
             raise ValueError(f"{where}key {key!r} must be {expected}, got {value!r}")
+        if any(isinstance(v, numbers.Integral) and abs(v) >= 2**1024 - 2**970  # float() overflows
+               for v in (value if isinstance(value, (list, tuple)) else (value,))):
+            raise ValueError(f"{where}key {key!r} holds a number too large for a float")
 
 
 def build_system(cfg: Mapping) -> SpectralSystem:

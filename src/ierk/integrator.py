@@ -10,10 +10,11 @@ One kernel, built once per (system, tableau) and batch of B step sizes, does
 all stepping on rfft half spectra, with per-mode stage coefficients that hold
 the mobility and the linear part (1 + kappa) u of the stabilized force: a
 stage cubes its values, makes one rfft, one weighted sum (plus any source
-term) and one irfft. Runs that end or diverge leave the batch. `evolve` and
-the reference run are batches of one, the convergence study one batch over
-its tau grid, and `step` wraps one kernel step in a StepRecord; each enters
-np.errstate once.
+term) and one irfft. Both call the pocketfft gufuncs under np.fft.rfft/irfft
+directly, which halves their cost at m = 256 with bit-identical results. Runs
+that end or diverge leave the batch. `evolve` and the reference run are
+batches of one, the convergence study one batch over its tau grid, and `step`
+wraps one kernel step in a StepRecord; each enters np.errstate once.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.fft import _pocketfft_umath  # private; np.fft.rfft/irfft call it since numpy 2.0
 
 from .errors import IntegrationDiverged, NonInvertibleStage
 from .spectral import Field, SpectralSystem, energy_from_spectrum
@@ -91,7 +93,7 @@ class _StageKernel:
         tau = np.array(tau, dtype=float, ndmin=1)
         if not np.all(tau > 0):
             raise ValueError("tau must be positive")
-        c, A, Ah = tab.float_arrays()
+        c, A, Ah = tab.float_arrays
         self.sys, self.half = sys, sys.grid.m // 2 + 1
         ml, mob = sys.mobility_stiff_symbol[: self.half], sys.mobility_symbol[: self.half]
         linear = sys.force_slope(stabilized=True) * mob  # M (1 + kappa), moved to the U rows
@@ -132,35 +134,35 @@ class _StageKernel:
         self.z = z = np.empty((2 * s - 1, b, self.half), dtype=complex)
         flat = z.view(float).reshape(2 * s - 1, -1)
         self.nodal, self.cube = np.empty((s - 1, b, m)), np.empty((b, m))
+        self.energy_scratch = np.empty_like(z[2::2]), np.empty_like(self.nodal)
         if self.src_coef is not None:
             self.src_coef, self.src_term = compact(self.src_coef), np.empty((s - 1, flat.shape[1]))
         self.stages = [(coef, z[2 * i - 1], flat[: 2 * i], flat[2 * i], z[2 * i], self.nodal[i - 1])
                        for i, coef in enumerate(self.coefs, start=1)]
 
-    def step(self, u_hat, u_vals, t, energies=None):
+    def step(self, u_hat, vals, t, energies=None):
         """Advance every row from half spectra u_hat (B, half), nodal values
-        u_vals (B, m), at time t (a float, or one per row). The caller enters
+        vals (B, m), at time t (a float, or one per row). The caller enters
         np.errstate: blow-ups surface as non-finite values, not as warnings.
 
         Returns (stage half spectra (s, B, half), last stage's nodal values
         (B, m)), both views of the kernel's buffers that the next step
         overwrites; when given, energies[1:] receives the (s-1, B) stage energies.
         """
-        sys, z, cube, m = self.sys, self.z, self.cube, self.sys.grid.m
-        src = self.src_term
+        sys, z, cube, inv_m = self.sys, self.z, self.cube, 1.0 / self.sys.grid.m
+        rfft, irfft, src = _pocketfft_umath.rfft_n_even, _pocketfft_umath.irfft, self.src_term
         if src is not None:
             f = sys.source_spectrum(t + self.ctau)
             np.einsum("ijk,jk->ik", self.src_coef, f.view(float).reshape(len(f), -1), out=src)
         z[0] = u_hat
-        vals = u_vals
         for i, (coef, x_row, rows, out, u_row, u_nodal) in enumerate(self.stages):
-            np.fft.rfft(sys.force_cubic(vals, out=cube), out=x_row)
+            rfft(sys.force_cubic(vals, out=cube), 1.0, out=x_row)
             np.einsum("jk,jk->k", coef, rows, out=out)
             if src is not None:
                 out += src[i]
-            vals = np.fft.irfft(u_row, m, out=u_nodal)
+            vals = irfft(u_row, inv_m, out=u_nodal)  # 1/m: np.fft.irfft's default norm
         if energies is not None:
-            energies[1:] = energy_from_spectrum(sys, z[2::2], self.nodal)
+            energies[1:] = energy_from_spectrum(sys, z[2::2], self.nodal, *self.energy_scratch)
         return z[::2], vals
 
 

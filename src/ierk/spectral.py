@@ -201,13 +201,14 @@ def energy(sys: SpectralSystem, u: Field) -> float:
     return float(energy_from_spectrum(sys, np.fft.rfft(u.values), u.values))
 
 
-def energy_from_spectrum(sys: SpectralSystem, half_spectrum: np.ndarray, values: np.ndarray):
-    """Energies from rfft half spectra and nodal values, one field per row of
-    any leading axes (a scalar for a single field)."""
-    q = values * values
+def energy_from_spectrum(sys: SpectralSystem, half_spectrum: np.ndarray, values: np.ndarray,
+                         hw=None, q=None):
+    """Energies from rfft half spectra and nodal values, one field per row of any
+    leading axes (a scalar for a single field); hw and q: scratch of their shapes."""
+    q = np.multiply(values, values, out=q)
     q -= 1.0
     # vecdot conjugates its first argument and reads any strides in place
-    return (np.vecdot(half_spectrum, half_spectrum * sys._energy_weights).real
+    return (np.vecdot(half_spectrum, np.multiply(half_spectrum, sys._energy_weights, out=hw)).real
             + (0.25 * sys.grid.h) * np.vecdot(q, q))
 
 

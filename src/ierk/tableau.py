@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
@@ -114,9 +114,10 @@ class ImexTableau:
             return "radau"
         return "lobatto"
 
+    @cached_property
     def float_arrays(self):
-        """(c, A, A_hat) as float ndarrays; cached per tableau."""
-        return _float_arrays(self)
+        """(c, A, A_hat) as float ndarrays, converted on first read."""
+        return tuple(np.array(x, dtype=float) for x in (self.c, self.A, self.A_hat))
 
     @cached_property
     def outside_certified_range(self) -> bool:
@@ -128,14 +129,6 @@ class ImexTableau:
         from .dissipation import certify
 
         return not certify(self).certified
-
-
-@lru_cache(maxsize=512)
-def _float_arrays(t: ImexTableau):
-    c = np.array([float(x) for x in t.c])
-    A = np.array([[float(x) for x in row] for row in t.A])
-    Ah = np.array([[float(x) for x in row] for row in t.A_hat])
-    return c, A, Ah
 
 
 def validate_tableau(t: ImexTableau) -> None:

@@ -461,7 +461,7 @@ def test_family_batch_rows_equal_registry(family, symbol, lo, hi, step, fixed, t
     assert type(A) is type(A_hat) is np.ndarray
     for i, v in enumerate(grid.tolist()):
         try:
-            _, A_ref, A_hat_ref = registry(family, {**fixed, symbol: v}).float_arrays()
+            _, A_ref, A_hat_ref = registry(family, {**fixed, symbol: v}).float_arrays
         except (DegenerateParameters, InvalidTableau):
             assert not ok[i], v
             continue

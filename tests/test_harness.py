@@ -667,6 +667,28 @@ def test_cli_evolve_overflowing_epsilon_square_exits_2(tmp_path, capsys):
     assert not (out_dir / "report.json").exists()
 
 
+_HUGE = 10**400  # a JSON integer that float() cannot convert
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("evolve", {**_EVOLVE_CFG, "epsilon": _HUGE}, "config key 'epsilon'"),
+    ("evolve", {**_EVOLVE_CFG, "kappa": _HUGE}, "config key 'kappa'"),
+    ("evolve", {**_EVOLVE_CFG, "t_final": _HUGE}, "config key 't_final'"),
+    ("evolve", {**_EVOLVE_CFG, "tau": -_HUGE}, "config key 'tau'"),
+    ("evolve", {**_EVOLVE_CFG, "domain": [0, _HUGE]}, "config key 'domain'"),
+    ("evolve", {**_EVOLVE_CFG, "reference": {"method": "IERK1", "params": {"theta": 0.5},
+                                             "tau": _HUGE}}, "reference config key 'tau'"),
+    ("converge", {**_CONVERGE_CFG, "tau_grid": [0.1, _HUGE]}, "config key 'tau_grid'"),
+])
+def test_cli_config_integer_too_large_for_a_float_exits_2(command, cfg, key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "run"
+    assert main([command, "--config", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {key} holds a number too large for a float\n"
+    assert not (out_dir / "report.json").exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("verify", ["IERK1", "--theta", "1/2"]),
     ("certify", ["IERK1", "--theta", "1/2"]),

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ class _LinearizedSystem(SpectralSystem):
 
 def _scalar_stage_oracle(tab, tau, msym, lsym_kappa, kappa):
     """Per-mode amplification by direct stage recursion on scalars."""
-    c, A, Ah = tab.float_arrays()
+    c, A, Ah = tab.float_arrays
     s = tab.s
     u = [1.0 + 0.0j]
     for i in range(1, s):
@@ -277,7 +278,7 @@ def _nodal_manufactured_forcing(sys, t):
 def _stage_loop_reference(sys, tab, u_vals, t, tau):
     """Stage half spectra of one step by a plain loop over the tableau terms;
     any forcing is evaluated on the nodes and transformed at every stage time."""
-    c, A, Ah = tab.float_arrays()
+    c, A, Ah = tab.float_arrays
     half = sys.grid.m // 2 + 1
     ml = sys.mobility_stiff_symbol[:half]
     mob = sys.mobility_symbol[:half]
@@ -350,16 +351,21 @@ def test_forced_step_makes_no_source_transform(name, params, monkeypatch):
     tab = registry(name, params)
     u0 = Field(values=np.sin(grid.x))
     calls = {"rfft": 0, "source_values": 0}
-    rfft = np.fft.rfft
 
-    def counting_rfft(*args, **kwargs):
-        calls["rfft"] += 1
-        return rfft(*args, **kwargs)
+    def counting(rfft):
+        def counting_rfft(*args, **kwargs):
+            calls["rfft"] += 1
+            return rfft(*args, **kwargs)
+        return counting_rfft
 
     def counting_source_values(self, t):
         calls["source_values"] += 1
 
-    monkeypatch.setattr(integrator.np.fft, "rfft", counting_rfft)
+    # a forward transform goes through np.fft or through the stage loop's gufunc
+    umath = integrator._pocketfft_umath
+    monkeypatch.setattr(integrator.np.fft, "rfft", counting(np.fft.rfft))
+    monkeypatch.setattr(integrator, "_pocketfft_umath",
+                        SimpleNamespace(rfft_n_even=counting(umath.rfft_n_even), irfft=umath.irfft))
     monkeypatch.setattr(SpectralSystem, "source_values", counting_source_values)
     counts = []
     for sys in (free, forced):
@@ -367,6 +373,41 @@ def test_forced_step_makes_no_source_transform(name, params, monkeypatch):
         step(sys, tab, u0, 0.3, 0.1)
         counts.append(dict(calls))
     assert counts == [{"rfft": tab.s - 1, "source_values": 0}] * 2
+
+
+@pytest.mark.parametrize("m", [2, 4, 256, 4096])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_stage_ffts_match_numpy_fft(m, rows, rng):
+    # the stage loop binds numpy's private pocketfft gufuncs; a numpy release
+    # that moves or changes them fails here
+    from ierk.integrator import _pocketfft_umath
+
+    x = rng.normal(size=(rows, m))
+    x_hat = np.empty((rows, m // 2 + 1), dtype=complex)
+    assert _pocketfft_umath.rfft_n_even(x, 1.0, out=x_hat) is x_hat
+    assert np.array_equal(x_hat, np.fft.rfft(x))
+    h = x_hat + rng.normal(size=x_hat.shape)
+    vals = np.empty((rows, m))
+    assert _pocketfft_umath.irfft(h, 1.0 / m, out=vals) is vals
+    assert np.array_equal(vals, np.fft.irfft(h, m))
+
+
+@pytest.mark.parametrize("name,params", [("IERK2-1", {"c2": 1, "a33": 1}),
+                                         ("IERK3-1", {"a55": 0.8}), ("IERK4-A2", {})])
+def test_run_evolve_energies_match_a_run_through_np_fft(name, params, monkeypatch):
+    from ierk import integrator
+    from ierk.harness import run_evolve
+
+    cfg = {"method": name, "params": params, "kappa": 2.0, "tau": 0.05, "t_final": 2.0,
+           "record_stages": True}
+    trace, _, final = run_evolve(cfg)
+    monkeypatch.setattr(integrator, "_pocketfft_umath", SimpleNamespace(
+        rfft_n_even=lambda a, fct, out: np.fft.rfft(a, out=out),
+        irfft=lambda a, fct, out: np.fft.irfft(a, out.shape[-1], out=out)))
+    ref_trace, _, ref_final = run_evolve(cfg)
+    assert np.array_equal(trace.stage_energies, ref_trace.stage_energies)
+    assert np.array_equal(trace.energies, ref_trace.energies)
+    assert np.array_equal(final.values, ref_final.values)
 
 
 def _kernel_run(sys, tab, u0, taus, n_steps):

@@ -271,6 +271,6 @@ def test_json_rejects_bad_row_sums():
 
 def test_float_views_match_exact_entries():
     t = registry("IERK4-A1")
-    c, A, Ah = t.float_arrays()
+    c, A, Ah = t.float_arrays
     assert A[6, 6] == pytest.approx(float(F(1339351, 2000000)), abs=0)
     assert np.allclose(A.sum(axis=1), c, atol=1e-15)
