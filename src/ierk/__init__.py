@@ -37,10 +37,8 @@ from .spectral import (
     Field,
     SpectralGrid,
     SpectralSystem,
-    apply_operator,
     energy,
     lambda_ml_bar,
-    manufactured_source,
     tanh_gaussian_bumps,
 )
 from .integrator import EnergyTrace, StepRecord, differential_form_residual, evolve, step
@@ -66,7 +64,6 @@ __all__ = [
     "SpectralSystem",
     "StepRecord",
     "UnknownMethod",
-    "apply_operator",
     "average_rate",
     "certify",
     "check_order_conditions",
@@ -78,7 +75,6 @@ __all__ = [
     "evolve",
     "lambda_ml_bar",
     "load_tableau",
-    "manufactured_source",
     "reduced_matrices",
     "registry",
     "scan_parameter",

@@ -19,7 +19,6 @@ or parameters.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import json
 import os
@@ -45,32 +44,6 @@ def _parse_params(pairs):
     return params
 
 
-def _parse_extra_params(extras):
-    """Leftover `--name value` pairs become method parameters.
-
-    Lets the natural form `certify IERK2-1 --c2 1 --a33 0.5` work without
-    pre-declaring every family's symbols; the values stay strings until
-    `_merge_config` has checked the names against the method.
-    """
-    params = {}
-    i = 0
-    while i < len(extras):
-        tok = extras[i]
-        if not tok.startswith("--") or len(tok) == 2:
-            raise ValueError(f"unexpected argument {tok!r}")
-        name = tok[2:]
-        if "=" in name:
-            name, value = name.split("=", 1)
-            i += 1
-        else:
-            if i + 1 >= len(extras):
-                raise ValueError(f"missing value for parameter --{name}")
-            value = extras[i + 1]
-            i += 2
-        params[name] = value
-    return params
-
-
 def _check_flags(command, cfg, flags):
     """Refuse a parameter flag that the method does not take, most likely an
     option that the command does not have; an unknown method is left to the registry."""
@@ -85,26 +58,31 @@ def _check_flags(command, cfg, flags):
 
 
 def _split_params(ap, argv):
-    """Split argv into (argparse's tokens, method-parameter tokens).
+    """Split argv into (argparse's tokens, method parameters {name: text}).
 
     A `--name` flag is a method parameter when no option of its subcommand
-    starts with `--name`, so argparse would not know it either. Taking its
-    value here, rather than after argparse, keeps that value from filling the
-    optional METHOD positional (`evolve --config cfg.json --theta 1/2`).
+    starts with `--name`, so argparse would not know it either. This lets the
+    natural form `certify IERK2-1 --c2 1 --a33 0.5` work without pre-declaring
+    every family's symbols. Taking its value here, rather than after argparse,
+    keeps that value from filling the optional METHOD positional (`evolve
+    --config cfg.json --theta 1/2`). The values stay strings until
+    `_merge_config` has checked the names against the method.
     """
     command = next((tok for tok in argv if not tok.startswith("-")), None)
     sub = ap.commands.get(command)
     if sub is None:
-        return list(argv), []
+        return list(argv), {}
     options = sub._option_string_actions
-    rest, params = [], []
+    rest, params = [], {}
     tokens = iter(argv)
     for tok in tokens:
-        flag = tok.split("=", 1)[0]
+        flag, eq, value = tok.partition("=")
         if len(flag) > 2 and flag.startswith("--") and not any(o.startswith(flag) for o in options):
-            params.append(tok)
-            if "=" not in tok:
-                params.extend(itertools.islice(tokens, 1))
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise ValueError(f"missing value for parameter {flag}")
+            params[flag[2:]] = value
         else:
             rest.append(tok)
     return rest, params
@@ -213,8 +191,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         rest, params = _split_params(ap, _sys.argv[1:] if argv is None else argv)
-        args, extras = ap.parse_known_args(rest)
-        args.extra_params = _parse_extra_params(params + extras)
+        args = ap.parse_args(rest)
+        args.extra_params = params
         return _dispatch(args)
     except IerkError as exc:
         print(f"error: {exc}", file=_sys.stderr)
@@ -227,15 +205,9 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     outdir = harness.ensure_outdir(getattr(args, "out", None))
 
-    if args.command == "verify":
-        tab = harness.resolve_method(_merge_config(args))
-        report = harness.run_verify(tab, tol=args.tol)
-        _emit(outdir, report)
-        return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
-
-    if args.command == "certify":
-        tab = harness.resolve_method(_merge_config(args))
-        report = harness.run_certify(tab, tol=args.tol)
+    if args.command in ("verify", "certify"):
+        run = harness.run_verify if args.command == "verify" else harness.run_certify
+        report = run(harness.resolve_method(_merge_config(args)), tol=args.tol)
         _emit(outdir, report)
         return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 

@@ -123,8 +123,9 @@ class DifferentiationPair:
     exact_d_e: Optional[tuple] = None
     exact_d_ei: Optional[tuple] = None
 
-    def at(self, z: float) -> np.ndarray:
-        """The differentiation matrix at stiffness sample z (z <= 0 in practice)."""
+    def at(self, z) -> np.ndarray:
+        """The differentiation matrix at stiffness sample z (z <= 0 in practice);
+        z of shape (n, 1, 1) gives the stack of n matrices."""
         return self.d_e - z * self.d_ei
 
 
@@ -292,7 +293,7 @@ def certify(
     pair = differentiation_pair(t)
     zs = np.asarray(z_samples, dtype=float).reshape(-1, 1, 1)
     # one stack: D_E, D_EI, then D(z) at every sample
-    stack = np.concatenate([pair.d_e[None], pair.d_ei[None], pair.d_e - zs * pair.d_ei])
+    stack = np.concatenate([pair.d_e[None], pair.d_ei[None], pair.at(zs)])
     min_eig, thr = _min_eig_and_threshold(stack, tol)
     v_e, v_ei = (PsdVerdict(bool(min_eig[i] >= -thr[i]), float(min_eig[i]), float(thr[i]))
                  for i in (0, 1))

@@ -49,10 +49,6 @@ class StepRecord:
     def result(self) -> Field:
         return Field(spectrum=self.stage_spectra[-1])
 
-    def stage_differences(self) -> np.ndarray:
-        """delta U_{l+1} = U_{l+1} - U_l for l = 0..s-2, in Fourier space."""
-        return np.diff(self.stage_spectra, axis=0)
-
 
 @dataclass
 class EnergyTrace:
@@ -253,30 +249,25 @@ def differential_form_residual(sys: SpectralSystem, tab: ImexTableau, rec: StepR
 
     Rebuilds, for every implicit stage k, the combination
     sum_l [D_E]_{k,l} dU_{l+1} + [D_EI]_{k,l} (-tau M L_kappa) dU_{l+1}
-    and compares it with tau * M (L_kappa (U_{k+1}+U_k)/2 - g_kappa(U_k)).
-    Both sides agree to round-off for any tableau satisfying the structural
-    invariants, provided the step was autonomous (no source term).
+    and compares it with tau * M (L_kappa (U_{k+1}+U_k)/2 - g_kappa(U_k)) on
+    rfft half spectra; returns the largest nodal max norm of the mismatch
+    relative to that of the right side. Both sides agree to round-off for any
+    tableau satisfying the structural invariants, provided the step was
+    autonomous (no source term).
     """
     from .dissipation import differentiation_pair
 
     if sys.source is not None:
         raise ValueError("residual check requires an autonomous system (source=None)")
     pair = differentiation_pair(tab)
-    d_e, d_ei = pair.d_e, pair.d_ei
-    tau = rec.tau
-    ml = sys.mobility_stiff_symbol
-    mob = sys.mobility_symbol
-    lk = sys.stabilized_symbol
-    du = rec.stage_differences()
-    worst = 0.0
-    for k in range(tab.s_implicit):
-        lhs = np.zeros(sys.grid.m, dtype=complex)
-        for l in range(k + 1):
-            lhs += d_e[k, l] * du[l] - d_ei[k, l] * tau * (ml * du[l])
-        uk = np.fft.ifft(rec.stage_spectra[k]).real
-        gk = np.fft.fft(sys.nonlinearity(uk, stabilized=True))
-        rhs = tau * mob * (0.5 * lk * (rec.stage_spectra[k + 1] + rec.stage_spectra[k]) - gk)
-        num = float(np.abs(np.fft.ifft(lhs - rhs)).max())
-        den = max(float(np.abs(np.fft.ifft(rhs)).max()), np.finfo(float).tiny)
-        worst = max(worst, num / den)
-    return worst
+    m, tau = sys.grid.m, rec.tau
+    half = m // 2 + 1
+    mob, lk = sys.mobility_symbol[:half], sys.stabilized_symbol[:half]
+    u = rec.stage_spectra[:, :half]
+    du = np.diff(u, axis=0)
+    lhs = pair.d_e @ du - tau * sys.mobility_stiff_symbol[:half] * (pair.d_ei @ du)
+    g = np.fft.rfft(sys.nonlinearity(np.fft.irfft(u[:-1], m), stabilized=True))
+    rhs = tau * mob * (0.5 * lk * (u[1:] + u[:-1]) - g)
+    num = np.abs(np.fft.irfft(lhs - rhs, m)).max(axis=1)
+    den = np.maximum(np.abs(np.fft.irfft(rhs, m)).max(axis=1), np.finfo(float).tiny)
+    return float((num / den).max())

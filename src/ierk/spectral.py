@@ -16,10 +16,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+#: Largest grid: a 7-stage kernel holds about 300 m bytes of buffers.
+MAX_M = 2**20
+
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform periodic grid on [x_lo, x_hi) with m nodes (m a power of two)."""
+    """Uniform periodic grid on [x_lo, x_hi) with m nodes (m a power of two, at most MAX_M)."""
 
     x_lo: float
     x_hi: float
@@ -28,6 +31,8 @@ class SpectralGrid:
     def __post_init__(self):
         if self.m < 2 or self.m & (self.m - 1):
             raise ValueError(f"m must be a power of two, got {self.m}")
+        if self.m > MAX_M:
+            raise ValueError(f"m must be at most {MAX_M}, got {self.m}")
         if not self.x_hi > self.x_lo:
             raise ValueError("empty domain")
 
@@ -172,25 +177,6 @@ class SpectralSystem:
         return None if spectrum is None else np.fft.irfft(spectrum, self.grid.m)
 
 
-_OPERATOR_SYMBOLS = {
-    "M": lambda s: s.mobility_symbol,
-    "L": lambda s: s.stiff_symbol,
-    "L_kappa": lambda s: s.stabilized_symbol,
-    "ML_kappa": lambda s: s.mobility_stiff_symbol,
-}
-
-
-def apply_operator(sys: SpectralSystem, which: str, u: Field) -> Field:
-    """Multiply by an operator symbol in Fourier space (exact on the grid)."""
-    try:
-        symbol = _OPERATOR_SYMBOLS[which](sys)
-    except KeyError:
-        raise ValueError(f"unknown operator {which!r}; pick from {sorted(_OPERATOR_SYMBOLS)}")
-    if u.m != sys.grid.m:
-        raise ValueError(f"field has {u.m} nodes, grid has {sys.grid.m}")
-    return Field(spectrum=symbol * u.spectrum)
-
-
 def energy(sys: SpectralSystem, u: Field) -> float:
     """Discrete free energy, h-weighted so values track the integral.
 
@@ -217,11 +203,6 @@ def lambda_ml_bar(sys: SpectralSystem) -> float:
     return float(np.mean(-sys.mobility_stiff_symbol))
 
 
-def variational_derivative(sys: SpectralSystem, u: Field) -> Field:
-    """L u - g(u): the gradient of the energy density w.r.t. nodal values / h."""
-    return Field(spectrum=sys.stiff_symbol * u.spectrum - np.fft.fft(sys.nonlinearity(u.values)))
-
-
 # ---------------------------------------------------------------------------
 # benchmark problem data
 # ---------------------------------------------------------------------------
@@ -240,12 +221,6 @@ def _manufactured_amplitudes(sys: SpectralSystem, t) -> tuple:
 #: f = d_t u - d_xx(-eps^2 u_xx - u + u^3) at u = e^{-t} sin x, where the
 #: cubic contributes modes one and three via sin^3 = (3 sin x - sin 3x)/4.
 MANUFACTURED_SOURCE = ModalSource(_manufactured_amplitudes, (np.sin, lambda x: np.sin(3.0 * x)))
-
-
-def manufactured_source(sys: SpectralSystem, t: float) -> Field:
-    """Nodal values of MANUFACTURED_SOURCE on the grid of sys at time t."""
-    amps = _manufactured_amplitudes(sys, t)
-    return Field(values=sum(a * f(sys.grid.x) for a, f in zip(amps, MANUFACTURED_SOURCE.modes)))
 
 
 def tanh_gaussian_bumps(x: np.ndarray) -> np.ndarray:

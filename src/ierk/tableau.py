@@ -67,8 +67,8 @@ def _close(a, b, exact: bool) -> bool:
 class ImexTableau:
     """Paired implicit/explicit Butcher tableaux with shared abscissas.
 
-    `c`, `A` and `A_hat` are tuples of Fraction or float entries; `b` and
-    `b_hat` are the last rows of `A` and `A_hat`.
+    `c`, `A` and `A_hat` are tuples of Fraction or float entries. The methods
+    are stiffly accurate, so the weights are the last rows of `A` and `A_hat`.
     """
 
     name: str
@@ -94,29 +94,14 @@ class ImexTableau:
     def s_implicit(self) -> int:
         return self.s - 1
 
-    @property
-    def b(self) -> tuple:
-        return self.A[-1]
-
-    @property
-    def b_hat(self) -> tuple:
-        return self.A_hat[-1]
-
     @cached_property
     def exact(self) -> bool:
         """Every entry is a Fraction."""
         return all(isinstance(x, Fraction) for x in itertools.chain(self.c, *self.A, *self.A_hat))
 
-    @property
-    def kind(self) -> str:
-        """"radau" when the first implicit column vanishes below row one."""
-        if all(self.A[i][0] == 0 for i in range(1, self.s)):
-            return "radau"
-        return "lobatto"
-
     @cached_property
     def float_arrays(self):
-        """(c, A, A_hat) as float ndarrays, converted on first read."""
+        """(c, A, A_hat) as float ndarrays, converted once by `validate_tableau`."""
         return tuple(np.array(x, dtype=float) for x in (self.c, self.A, self.A_hat))
 
     @cached_property
@@ -162,6 +147,10 @@ def validate_tableau(t: ImexTableau) -> None:
     for k in range(1, s):
         if t.A_hat[k][k - 1] == 0:
             raise InvalidTableau(f"{t.name}: zero explicit subdiagonal entry at ({k},{k - 1})")
+    try:
+        t.float_arrays
+    except OverflowError:
+        raise InvalidTableau(f"{t.name}: a coefficient is too large for a float") from None
 
 
 def reduced_matrices(t: ImexTableau):

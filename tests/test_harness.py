@@ -263,6 +263,9 @@ _CONVERGE_CFG = {"method": "IERK1", "params": {"theta": 0.5}, "m": 32, "tau_grid
     ("converge", {**_CONVERGE_CFG, "reference": {"method": "IERK1", "params": {"theta": 0.5}}},
      [], "converge does not use config key 'reference'"),
     ("evolve", {**_EVOLVE_CFG, "tau_grid": [0.1]}, [], "evolve does not use config key 'tau_grid'"),
+    # a grid too large to allocate, refused before any allocation
+    ("evolve", {**_EVOLVE_CFG, "m": 2**40}, [], f"m must be at most 1048576, got {2**40}"),
+    ("evolve", {**_EVOLVE_CFG, "m": 2**80}, [], f"m must be at most 1048576, got {2**80}"),
 ])
 def test_cli_bad_step_count_exits_2(command, cfg, flags, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -481,6 +484,7 @@ def test_cli_evolve_non_finite_parameters_exit_2(flag, tmp_path, capsys):
     (["scan", "IERK2-1", "--symbol", "a33", "--lo", "-inf", "--hi", "1", "--c2", "1"],
      "argument --lo: expected one argument"),
     (["scan", "IERK2-1", "--lo", "0"], "the following arguments are required"),
+    (["certify", "IERK1", "--theta", "1", "stray"], "unrecognized arguments: stray"),
 ])
 def test_cli_parser_errors_are_one_line(args, message, capsys):
     assert main(args) == 2
@@ -724,3 +728,35 @@ def test_cli_evolve_huge_domain_writes_report(tmp_path, capsys):
     assert main(["evolve", "--config", str(path), "--out", str(out_dir)]) == 0
     assert _strict_json((out_dir / "report.json").read_text())["domain"] == [0.0, 1e308]
     assert (out_dir / "plot.svg").read_text().startswith("<svg")
+
+
+def _huge_param_case(tmp_path, form):
+    """argv that hands IERK1 (or a tableau file) an entry no float can hold."""
+    if form == "flag":
+        return ["certify", "IERK1", "--theta", str(_HUGE)], "IERK1"
+    if form == "verify":
+        return ["verify", "IERK1", "--p", f"theta={_HUGE}"], "IERK1"
+    if form == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**_EVOLVE_CFG, "params": {"theta": _HUGE}}))
+        return ["evolve", "--config", str(path)], "IERK1"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "huge", "s": 3, "c": [0, "1/2", 1],
+                                "A": [[0, 0, 0], ["1/4", "1/4", 0], [_HUGE, -_HUGE, 1]],
+                                "A_hat": [[0, 0, 0], ["1/2", 0, 0], [0, 1, 0]]}))
+    return ["certify", "--tableau", str(path)], "huge"
+
+
+@pytest.mark.parametrize("form", ["flag", "verify", "config", "tableau"])
+def test_cli_coefficient_too_large_for_a_float_exits_2(form, tmp_path, capsys):
+    argv, name = _huge_param_case(tmp_path, form)
+    out_dir = tmp_path / "run"
+    assert main([*argv, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {name}: a coefficient is too large for a float\n"
+    assert not (out_dir / "report.json").exists()
+
+
+def test_every_public_name_resolves():
+    import ierk
+
+    assert [name for name in ierk.__all__ if not hasattr(ierk, name)] == []

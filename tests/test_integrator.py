@@ -119,6 +119,17 @@ def test_differential_form_residual_negative_control(bench_sys, rng):
     assert differential_form_residual(bench_sys, tab, corrupted) > 1e-6
 
 
+@pytest.mark.parametrize("stage", [1, -1])
+def test_differential_form_residual_sees_one_corrupted_mode(stage, bench_sys, rng):
+    # one interior mode of one stage, on the half spectrum that the check reads
+    tab = registry("IERK3-2", {"a43": F(-3, 5)})
+    rec = step(bench_sys, tab, _smooth_field(rng, bench_sys.grid), 0.0, 0.01)
+    bad = rec.stage_spectra.copy()
+    bad[stage, 5] *= 1.0 + 1e-3
+    corrupted = StepRecord(rec.t_start, rec.tau, bad, rec.stage_energies)
+    assert differential_form_residual(bench_sys, tab, corrupted) > 1e-6
+
+
 def test_differential_form_residual_at_equilibrium(bench_sys):
     tab = registry("IERK2-2", {"a33": 0.61})
     rec = step(bench_sys, tab, Field(values=np.ones(256)), 0.0, 0.05)

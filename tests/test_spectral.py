@@ -6,17 +6,15 @@ import pytest
 from ierk.spectral import (
     MANUFACTURED_SOURCE,
     Field,
+    MAX_M,
     SpectralGrid,
     SpectralSystem,
-    apply_operator,
     decaying_sine,
     energy,
     energy_from_spectrum,
     initial_field,
     lambda_ml_bar,
-    manufactured_source,
     tanh_gaussian_bumps,
-    variational_derivative,
 )
 
 TWO_PI = 2 * math.pi
@@ -25,6 +23,24 @@ TWO_PI = 2 * math.pi
 @pytest.fixture
 def sys256():
     return SpectralSystem(SpectralGrid(0.0, TWO_PI, 256), epsilon=0.2, kappa=0.0)
+
+
+def _apply(symbol, u):
+    """Multiply by an operator symbol in Fourier space."""
+    return Field(spectrum=symbol * u.spectrum)
+
+
+def _variational_derivative(sys, u):
+    """L u - g(u): the gradient of the energy density w.r.t. nodal values / h."""
+    return Field(spectrum=sys.stiff_symbol * u.spectrum - np.fft.fft(sys.nonlinearity(u.values)))
+
+
+def _manufactured_forcing(sys, t):
+    """Closed form of MANUFACTURED_SOURCE at the nodes:
+    ((eps^2 - 2) e^{-t} + (3/4) e^{-3t}) sin x - (9/4) e^{-3t} sin 3x."""
+    x = sys.grid.x
+    return (((sys.epsilon**2 - 2.0) * math.exp(-t) + 0.75 * math.exp(-3.0 * t)) * np.sin(x)
+            - 2.25 * math.exp(-3.0 * t) * np.sin(3.0 * x))
 
 
 def _random_smooth(rng, grid, modes=8, amp=0.5):
@@ -37,6 +53,12 @@ def _random_smooth(rng, grid, modes=8, amp=0.5):
 def test_grid_requires_power_of_two():
     with pytest.raises(ValueError):
         SpectralGrid(0.0, 1.0, 100)
+
+
+def test_grid_size_is_bounded():
+    assert SpectralGrid(0.0, 1.0, MAX_M).m == MAX_M
+    with pytest.raises(ValueError, match=f"m must be at most {MAX_M}, got {2 * MAX_M}"):
+        SpectralGrid(0.0, 1.0, 2 * MAX_M)
 
 
 def test_wavenumbers_are_integers_on_two_pi_domain(sys256):
@@ -54,12 +76,12 @@ def test_field_round_trip(rng):
 
 def test_apply_stiff_operator_on_eigenfunction(sys256):
     u = Field(values=np.sin(sys256.grid.x))
-    out = apply_operator(sys256, "L", u)
+    out = _apply(sys256.stiff_symbol, u)
     assert np.allclose(out.values, 0.04 * np.sin(sys256.grid.x), atol=1e-13)
 
 
 def test_mobility_kills_constants(sys256):
-    out = apply_operator(sys256, "M", Field(values=np.full(256, 2.5)))
+    out = _apply(sys256.mobility_symbol, Field(values=np.full(256, 2.5)))
     assert np.abs(out.values).max() <= 1e-13
 
 
@@ -68,32 +90,25 @@ def test_mobility_stiff_symbol_sign():
     # round-off leakage into high modes that the quartic symbol amplifies
     sys = SpectralSystem(SpectralGrid(0.0, TWO_PI, 256), epsilon=0.2, kappa=1.0)
     u = Field(values=np.sin(2 * sys.grid.x))
-    out = apply_operator(sys, "ML_kappa", u)
+    out = _apply(sys.mobility_stiff_symbol, u)
     assert np.allclose(out.values, -4.64 * np.sin(2 * sys.grid.x), atol=1e-8)
     sys32 = SpectralSystem(SpectralGrid(0.0, TWO_PI, 32), epsilon=0.2, kappa=1.0)
-    out32 = apply_operator(sys32, "ML_kappa", Field(values=np.sin(2 * sys32.grid.x)))
+    out32 = _apply(sys32.mobility_stiff_symbol, Field(values=np.sin(2 * sys32.grid.x)))
     assert np.allclose(out32.values, -4.64 * np.sin(2 * sys32.grid.x), atol=1e-12)
-
-
-def test_apply_operator_errors(sys256):
-    with pytest.raises(ValueError):
-        apply_operator(sys256, "Q", Field(values=np.zeros(256)))
-    with pytest.raises(ValueError):
-        apply_operator(sys256, "L", Field(values=np.zeros(128)))
 
 
 def test_mobility_output_has_zero_mean(sys256, rng):
     u = _random_smooth(rng, sys256.grid)
-    out = apply_operator(sys256, "M", u)
+    out = _apply(sys256.mobility_symbol, u)
     assert abs(out.values.mean()) <= 1e-13
 
 
 def test_operator_symmetry(sys256, rng):
     u = _random_smooth(rng, sys256.grid)
     v = _random_smooth(rng, sys256.grid)
-    for which in ("M", "L"):
-        lhs = float(np.dot(apply_operator(sys256, which, u).values, v.values))
-        rhs = float(np.dot(u.values, apply_operator(sys256, which, v).values))
+    for symbol in (sys256.mobility_symbol, sys256.stiff_symbol):
+        lhs = float(np.dot(_apply(symbol, u).values, v.values))
+        rhs = float(np.dot(u.values, _apply(symbol, v).values))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -149,7 +164,7 @@ def test_energy_nonnegative(rng, sys256):
 def test_variational_derivative_matches_energy_gradient(rng):
     sys = SpectralSystem(SpectralGrid(-math.pi, math.pi, 64), epsilon=0.3, kappa=0.0)
     u = _random_smooth(rng, sys.grid, modes=5)
-    grad = variational_derivative(sys, u).values
+    grad = _variational_derivative(sys, u).values
     h = sys.grid.h
     eps = 1e-6
     for idx in (0, 7, 33, 63):
@@ -192,19 +207,21 @@ def test_manufactured_source_satisfies_pde(sys256):
             du_dt = -u
             flux = -(0.2**2) * np.fft.ifft(-(k**2) * np.fft.fft(u)).real - u + u**3
             lap_flux = np.fft.ifft(-(k**2) * np.fft.fft(flux)).real
-            f = manufactured_source(sys, t).values
+            f = _manufactured_forcing(sys, t)
             assert np.abs(du_dt - lap_flux - f).max() <= tol
 
 
-def test_manufactured_source_decays(sys256):
-    assert np.abs(manufactured_source(sys256, 40.0).values).max() <= 1e-15
+def test_manufactured_source_decays():
+    sys = SpectralSystem(SpectralGrid(0.0, TWO_PI, 256), epsilon=0.2, source=MANUFACTURED_SOURCE)
+    assert np.abs(sys.source_values(40.0)).max() <= 1e-15
 
 
 def test_manufactured_source_at_eps_zero():
-    sys = SpectralSystem(SpectralGrid(0.0, TWO_PI, 64), epsilon=0.0, kappa=0.0)
+    sys = SpectralSystem(SpectralGrid(0.0, TWO_PI, 64), epsilon=0.0, kappa=0.0,
+                         source=MANUFACTURED_SOURCE)
     x = sys.grid.x
     expected = -1.25 * np.sin(x) - 2.25 * np.sin(3 * x)
-    assert np.allclose(manufactured_source(sys, 0.0).values, expected, atol=1e-14)
+    assert np.allclose(sys.source_values(0.0), expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", [32, 256])
@@ -213,7 +230,7 @@ def test_source_spectrum_matches_nodal_forcing(m, domain):
     sys = SpectralSystem(SpectralGrid(*domain, m), epsilon=0.2, kappa=1.0,
                          source=MANUFACTURED_SOURCE)
     for t in (0.0, 0.4, 2.0):
-        nodal = manufactured_source(sys, t).values
+        nodal = _manufactured_forcing(sys, t)
         assert np.abs(sys.source_spectrum(t) - np.fft.rfft(nodal)).max() <= 1e-13
         assert np.abs(sys.source_values(t) - nodal).max() <= 1e-14
     # an (s-1, B) array of stage times, as a batched step asks for them
@@ -229,7 +246,7 @@ def test_source_spectrum_matches_nodal_forcing(m, domain):
 def test_steady_states_of_variational_derivative():
     sys = SpectralSystem(SpectralGrid(-math.pi, math.pi, 64), epsilon=0.1, kappa=0.0)
     for const in (-1.0, 0.0, 1.0):
-        g = variational_derivative(sys, Field(values=np.full(64, const))).values
+        g = _variational_derivative(sys, Field(values=np.full(64, const))).values
         assert np.abs(g).max() <= 1e-14
 
 

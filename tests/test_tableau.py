@@ -37,9 +37,6 @@ def test_structural_invariants(name, params):
         assert abs(float(sum(t.A_hat[i][:i]) - t.c[i])) < 1e-13
         assert all(t.A[i][j] == 0 for j in range(i + 1, s))
         assert all(t.A_hat[i][j] == 0 for j in range(i, s))
-    # stiffly accurate: weights are the last rows
-    assert t.b == t.A[-1]
-    assert t.b_hat == t.A_hat[-1]
     # nonzero explicit subdiagonal
     assert all(t.A_hat[k][k - 1] != 0 for k in range(1, s))
 
@@ -49,13 +46,6 @@ def test_exact_rational_storage():
         t = registry(name, params)
         # only the sqrt(2)-based family is irrational
         assert t.exact == (name != "IERK2-2")
-
-
-def test_kind_classification():
-    assert registry("IERK2-Radau", {"c2": F(3, 2)}).kind == "radau"
-    assert registry("IERK3-Radau", {"ahat43": 1}).kind == "radau"
-    assert registry("IERK2-1", {"c2": 1, "a33": 1}).kind == "lobatto"
-    assert registry("IERK4-A1").kind == "lobatto"
 
 
 def test_ierk1_tableau_entries():
