@@ -1,7 +1,7 @@
 """Command-line interface.
 
     ierk verify  <method|--tableau f.json> [--<param> VALUE ...] [--tol T]
-    ierk certify <method|--tableau f.json> [--<param> VALUE ...]
+    ierk certify <method|--tableau f.json> [--<param> VALUE ...] [--tol T]
     ierk scan    <family> --symbol S --lo A --hi B --step H [--target T]
     ierk rate-table
     ierk converge --config cfg.json [overrides]
@@ -137,6 +137,13 @@ def float_list(text):
     return [float(x) for x in text.split(",")]
 
 
+def tolerance(text):
+    tol = float(text)
+    if not 0 <= tol < 1:
+        raise argparse.ArgumentTypeError(f"must be a finite value in [0, 1), got {text}")
+    return tol
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a one-line ValueError (exit 2), like any bad input."""
 
@@ -151,11 +158,11 @@ def build_parser():
 
     p = sub.add_parser("verify", help="check order conditions")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=tolerance, default=1e-10)
 
     p = sub.add_parser("certify", help="certify unconditional energy dissipation")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=tolerance, default=1e-12)
 
     p = sub.add_parser("scan", help="scan one parameter for certification")
     _add_common(p)

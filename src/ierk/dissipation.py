@@ -164,9 +164,13 @@ def differentiation_pair(t: ImexTableau) -> DifferentiationPair:
     exact = t.exact
     A, A_hat = (np.array([M], dtype=object if exact else float) for M in (t.A, t.A_hat))
     d_e, d_ei = (M[0] for M in _pair_stack(A, A_hat))
+    try:
+        float_d_e, float_d_ei = d_e.astype(float), d_ei.astype(float)
+    except OverflowError:
+        raise InvalidTableau(f"{t.name}: (D_E, D_EI) has an entry too large for a float") from None
     return DifferentiationPair(
-        d_e=d_e.astype(float),
-        d_ei=d_ei.astype(float),
+        d_e=float_d_e,
+        d_ei=float_d_ei,
         exact_d_e=tuple(map(tuple, d_e.tolist())) if exact else None,
         exact_d_ei=tuple(map(tuple, d_ei.tolist())) if exact else None,
     )

@@ -233,54 +233,63 @@ def check_order_conditions(t: ImexTableau, tol: float = 1e-10) -> OrderReport:
 
     Conditions use the shared abscissa vector; names encode the defining
     contraction, e.g. "bh_Ac" is b_hat . (A c). Residuals are exact zeros
-    for rational tableaux that satisfy a condition identically.
+    for rational tableaux that satisfy a condition identically. Those run on
+    ints over the common denominator L: an order-p value is v / L**p, and
+    its residual one correctly rounded division. An overflow reads inf.
     """
     s = t.s
-    c = list(t.c)
-    A = [list(r) for r in t.A]
-    Ah = [list(r) for r in t.A_hat]
+    exact = t.exact
+    L = math.lcm(*(x.denominator for x in itertools.chain(t.c, *t.A, *t.A_hat))) if exact else 1
+    scaled = (lambda row: [x.numerator * (L // x.denominator) for x in row]) if exact else list
+    c = scaled(t.c)
+    A = [scaled(r) for r in t.A]
+    Ah = [scaled(r) for r in t.A_hat]
     b, bh = A[-1], Ah[-1]
     ones = [1] * s
     c2 = _had(c, c)
     c3 = _had(c2, c)
     Ac, Ahc = _matvec(A, c), _matvec(Ah, c)
     Ac2, Ahc2 = _matvec(A, c2), _matvec(Ah, c2)
-    half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
-    sixth, eighth = Fraction(1, 6), Fraction(1, 8)
-    twelfth, tf = Fraction(1, 12), Fraction(1, 24)
-    entries = [
+    entries = [  # (name, order p, part, value, q): the condition is value == 1/q
         ("b_1", 1, "implicit", _dot(b, ones), 1),
         ("bh_1", 1, "explicit", _dot(bh, ones), 1),
-        ("b_c", 2, "implicit", _dot(b, c), half),
-        ("bh_c", 2, "explicit", _dot(bh, c), half),
-        ("b_c2", 3, "implicit", _dot(b, c2), third),
-        ("bh_c2", 3, "explicit", _dot(bh, c2), third),
-        ("b_Ac", 3, "implicit", _dot(b, Ac), sixth),
-        ("bh_Ahc", 3, "explicit", _dot(bh, Ahc), sixth),
-        ("b_Ahc", 3, "coupling", _dot(b, Ahc), sixth),
-        ("bh_Ac", 3, "coupling", _dot(bh, Ac), sixth),
-        ("b_c3", 4, "implicit", _dot(b, c3), quarter),
-        ("bh_c3", 4, "explicit", _dot(bh, c3), quarter),
-        ("b_c.Ac", 4, "implicit", _dot(b, _had(c, Ac)), eighth),
-        ("bh_c.Ahc", 4, "explicit", _dot(bh, _had(c, Ahc)), eighth),
-        ("b_c.Ahc", 4, "coupling", _dot(b, _had(c, Ahc)), eighth),
-        ("bh_c.Ac", 4, "coupling", _dot(bh, _had(c, Ac)), eighth),
-        ("b_Ac2", 4, "implicit", _dot(b, Ac2), twelfth),
-        ("bh_Ahc2", 4, "explicit", _dot(bh, Ahc2), twelfth),
-        ("b_Ahc2", 4, "coupling", _dot(b, Ahc2), twelfth),
-        ("bh_Ac2", 4, "coupling", _dot(bh, Ac2), twelfth),
-        ("b_AAc", 4, "implicit", _dot(b, _matvec(A, Ac)), tf),
-        ("bh_AhAhc", 4, "explicit", _dot(bh, _matvec(Ah, Ahc)), tf),
-        ("b_AhAhc", 4, "coupling", _dot(b, _matvec(Ah, Ahc)), tf),
-        ("bh_AAhc", 4, "coupling", _dot(bh, _matvec(A, Ahc)), tf),
-        ("bh_AhAc", 4, "coupling", _dot(bh, _matvec(Ah, Ac)), tf),
-        ("b_AAhc", 4, "coupling", _dot(b, _matvec(A, Ahc)), tf),
-        ("b_AhAc", 4, "coupling", _dot(b, _matvec(Ah, Ac)), tf),
-        ("bh_AAc", 4, "coupling", _dot(bh, _matvec(A, Ac)), tf),
+        ("b_c", 2, "implicit", _dot(b, c), 2),
+        ("bh_c", 2, "explicit", _dot(bh, c), 2),
+        ("b_c2", 3, "implicit", _dot(b, c2), 3),
+        ("bh_c2", 3, "explicit", _dot(bh, c2), 3),
+        ("b_Ac", 3, "implicit", _dot(b, Ac), 6),
+        ("bh_Ahc", 3, "explicit", _dot(bh, Ahc), 6),
+        ("b_Ahc", 3, "coupling", _dot(b, Ahc), 6),
+        ("bh_Ac", 3, "coupling", _dot(bh, Ac), 6),
+        ("b_c3", 4, "implicit", _dot(b, c3), 4),
+        ("bh_c3", 4, "explicit", _dot(bh, c3), 4),
+        ("b_c.Ac", 4, "implicit", _dot(b, _had(c, Ac)), 8),
+        ("bh_c.Ahc", 4, "explicit", _dot(bh, _had(c, Ahc)), 8),
+        ("b_c.Ahc", 4, "coupling", _dot(b, _had(c, Ahc)), 8),
+        ("bh_c.Ac", 4, "coupling", _dot(bh, _had(c, Ac)), 8),
+        ("b_Ac2", 4, "implicit", _dot(b, Ac2), 12),
+        ("bh_Ahc2", 4, "explicit", _dot(bh, Ahc2), 12),
+        ("b_Ahc2", 4, "coupling", _dot(b, Ahc2), 12),
+        ("bh_Ac2", 4, "coupling", _dot(bh, Ac2), 12),
+        ("b_AAc", 4, "implicit", _dot(b, _matvec(A, Ac)), 24),
+        ("bh_AhAhc", 4, "explicit", _dot(bh, _matvec(Ah, Ahc)), 24),
+        ("b_AhAhc", 4, "coupling", _dot(b, _matvec(Ah, Ahc)), 24),
+        ("bh_AAhc", 4, "coupling", _dot(bh, _matvec(A, Ahc)), 24),
+        ("bh_AhAc", 4, "coupling", _dot(bh, _matvec(Ah, Ac)), 24),
+        ("b_AAhc", 4, "coupling", _dot(b, _matvec(A, Ahc)), 24),
+        ("b_AhAc", 4, "coupling", _dot(b, _matvec(Ah, Ac)), 24),
+        ("bh_AAc", 4, "coupling", _dot(bh, _matvec(A, Ac)), 24),
     ]
+
+    def residual(v, p, q):
+        try:
+            return abs(v * q - L**p) / (q * L**p) if exact else abs(float(v - Fraction(1, q)))
+        except OverflowError:
+            return math.inf
+
     conditions = tuple(
-        ConditionResidual(name, order, part, abs(float(value - target)))
-        for name, order, part, value, target in entries
+        ConditionResidual(name, order, part, residual(value, order, q))
+        for name, order, part, value, q in entries
     )
     return OrderReport(conditions=conditions, tol=float(tol))
 

@@ -731,28 +731,37 @@ def test_cli_evolve_huge_domain_writes_report(tmp_path, capsys):
 
 
 def _huge_param_case(tmp_path, form):
-    """argv that hands IERK1 (or a tableau file) an entry no float can hold."""
+    """(argv, message): IERK1 or a tableau file with an entry no float can hold,
+    or ("pair") a tableau whose entries fit but whose D_E holds 1 / a_hat_32 = 10**400."""
+    coefficient = "a coefficient is too large for a float"
     if form == "flag":
-        return ["certify", "IERK1", "--theta", str(_HUGE)], "IERK1"
+        return ["certify", "IERK1", "--theta", str(_HUGE)], f"IERK1: {coefficient}"
     if form == "verify":
-        return ["verify", "IERK1", "--p", f"theta={_HUGE}"], "IERK1"
+        return ["verify", "IERK1", "--p", f"theta={_HUGE}"], f"IERK1: {coefficient}"
     if form == "config":
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**_EVOLVE_CFG, "params": {"theta": _HUGE}}))
-        return ["evolve", "--config", str(path)], "IERK1"
+        return ["evolve", "--config", str(path)], f"IERK1: {coefficient}"
     path = tmp_path / "huge.json"
+    if form == "pair":
+        path.write_text(json.dumps({"name": "tiny", "s": 3, "c": [0, "1/2", 1],
+                                    "A": [[0, 0, 0], ["1/4", "1/4", 0], ["1/4", "1/4", "1/2"]],
+                                    "A_hat": [[0, 0, 0], ["1/2", 0, 0],
+                                              [f"{_HUGE - 1}/{_HUGE}", f"1/{_HUGE}", 0]]}))
+        return (["certify", "--tableau", str(path)],
+                "tiny: (D_E, D_EI) has an entry too large for a float")
     path.write_text(json.dumps({"name": "huge", "s": 3, "c": [0, "1/2", 1],
                                 "A": [[0, 0, 0], ["1/4", "1/4", 0], [_HUGE, -_HUGE, 1]],
                                 "A_hat": [[0, 0, 0], ["1/2", 0, 0], [0, 1, 0]]}))
-    return ["certify", "--tableau", str(path)], "huge"
+    return ["certify", "--tableau", str(path)], f"huge: {coefficient}"
 
 
-@pytest.mark.parametrize("form", ["flag", "verify", "config", "tableau"])
+@pytest.mark.parametrize("form", ["flag", "verify", "config", "tableau", "pair"])
 def test_cli_coefficient_too_large_for_a_float_exits_2(form, tmp_path, capsys):
-    argv, name = _huge_param_case(tmp_path, form)
+    argv, message = _huge_param_case(tmp_path, form)
     out_dir = tmp_path / "run"
     assert main([*argv, "--out", str(out_dir)]) == 2
-    assert capsys.readouterr().err == f"error: {name}: a coefficient is too large for a float\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out_dir / "report.json").exists()
 
 
@@ -760,3 +769,32 @@ def test_every_public_name_resolves():
     import ierk
 
     assert [name for name in ierk.__all__ if not hasattr(ierk, name)] == []
+
+
+def test_cli_verify_overflowing_residual_writes_null(tmp_path, capsys):
+    # b.(A c) = theta**2 = 1e400: the exact residual overflows a float
+    code, report, err = _cli_strict_report(["verify", "IERK1", "--theta", "1e200"],
+                                           tmp_path, capsys)
+    assert code == 0 and err == "" and report["attained_order"] == 1
+    residuals = {c["name"]: c["residual"] for c in report["conditions"]}
+    assert residuals["b_1"] == 0.0 and residuals["b_c"] == 1e200
+    assert residuals["b_Ac"] is None and report["max_residual_by_order"]["3"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "IERK1", "--theta", "1/2"],
+    ["certify", "IERK3-4stage", "--a22", "2"],
+])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "1", "1e6"])
+def test_cli_tol_outside_unit_interval_exits_2(argv, tol, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main([*argv, "--tol", tol, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --tol: ") and err.count("\n") == 1
+    assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "certify"])
+def test_cli_tol_zero_is_accepted(command, capsys):
+    assert main([command, "IERK1", "--theta", "1", "--tol", "0"]) == 0
+    capsys.readouterr()

@@ -1,12 +1,14 @@
 """Property-based checks (run only where hypothesis is installed)."""
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from ierk.dissipation import certify, scan_parameter  # noqa: E402
-from ierk.tableau import registry  # noqa: E402
+from ierk.tableau import ImexTableau, check_order_conditions, registry  # noqa: E402
 
 # The criterion-4 scan windows: (family, symbol, lo, hi, fixed parameters).
 WINDOWS = (
@@ -32,3 +34,64 @@ def test_flag_certificate_and_scan_agree(point):
     assume(abs(min(cert.psd_d_e.min_eigenvalue, cert.psd_d_ei.min_eigenvalue)) > 1e-9)
     (scanned,) = scan_parameter(family, symbol, value, value, 1.0, fixed=fixed).verdicts
     assert tab.outside_certified_range == (not cert.certified) == (not scanned)
+
+
+@st.composite
+def rational_tableaux(draw):
+    """A random s-stage tableau that passes `validate_tableau`: explicit first
+    stage, row sums equal to c (first column), nonzero explicit subdiagonal."""
+    s = draw(st.integers(2, 7))
+    entry = st.fractions(-3, 3, max_denominator=draw(st.sampled_from([8, 1000, 10**9])))
+    nonzero = entry.filter(bool)
+    c = [Fraction(0), *(draw(nonzero) for _ in range(s - 2)), Fraction(1)]
+    A, A_hat = [[Fraction(0)] * s], [[Fraction(0)] * s]
+    for i in range(1, s):
+        a = [draw(entry) for _ in range(i)]
+        a_hat = [draw(entry) for _ in range(i - 2)] + [draw(nonzero)] if i > 1 else []
+        A.append([c[i] - sum(a), *a] + [Fraction(0)] * (s - 1 - i))
+        A_hat.append([c[i] - sum(a_hat), *a_hat] + [Fraction(0)] * (s - i))
+    return ImexTableau(name="random", c=c, A=A, A_hat=A_hat)
+
+
+def _reference_residuals(t):
+    """{name: (order, residual)}: each condition in plain Python arithmetic on
+    the entries as stored, its Fraction target subtracted, then rounded."""
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def mv(M, v):
+        return [dot(row, v) for row in M]
+
+    def had(u, v):
+        return [x * y for x, y in zip(u, v)]
+
+    c, A, Ah = list(t.c), [list(r) for r in t.A], [list(r) for r in t.A_hat]
+    b, bh = A[-1], Ah[-1]
+    c2 = had(c, c)
+    values = {
+        "b_1": (1, dot(b, [1] * t.s), 1), "bh_1": (1, dot(bh, [1] * t.s), 1),
+        "b_c": (2, dot(b, c), 2), "bh_c": (2, dot(bh, c), 2),
+        "b_c2": (3, dot(b, c2), 3), "bh_c2": (3, dot(bh, c2), 3),
+        "b_c3": (4, dot(b, had(c2, c)), 4), "bh_c3": (4, dot(bh, had(c2, c)), 4),
+    }
+    for w, wn in ((b, "b"), (bh, "bh")):
+        for M, Mn in ((A, "A"), (Ah, "Ah")):
+            values[f"{wn}_{Mn}c"] = (3, dot(w, mv(M, c)), 6)
+            values[f"{wn}_c.{Mn}c"] = (4, dot(w, had(c, mv(M, c))), 8)
+            values[f"{wn}_{Mn}c2"] = (4, dot(w, mv(M, c2)), 12)
+            for N, Nn in ((A, "A"), (Ah, "Ah")):
+                values[f"{wn}_{Mn}{Nn}c"] = (4, dot(w, mv(M, mv(N, c))), 24)
+    return {name: (order, abs(float(value - Fraction(1, q))))
+            for name, (order, value, q) in values.items()}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rational_tableaux())
+def test_order_residuals_equal_the_fraction_reference(tab):
+    float_view = ImexTableau(name="float view", c=[float(x) for x in tab.c],
+                             A=[[float(x) for x in r] for r in tab.A],
+                             A_hat=[[float(x) for x in r] for r in tab.A_hat])
+    assert tab.exact and not float_view.exact
+    for t in (tab, float_view):
+        got = {c.name: (c.order, c.residual) for c in check_order_conditions(t).conditions}
+        assert got == _reference_residuals(t)

@@ -264,3 +264,12 @@ def test_float_views_match_exact_entries():
     c, A, Ah = t.float_arrays
     assert A[6, 6] == pytest.approx(float(F(1339351, 2000000)), abs=0)
     assert np.allclose(A.sum(axis=1), c, atol=1e-15)
+
+
+def test_overflowing_exact_residual_reads_inf():
+    report = check_order_conditions(registry("IERK1", {"theta": F(10**200)}))
+    residuals = {c.name: c.residual for c in report.conditions}
+    assert residuals["b_c"] == 1e200
+    # theta**2 = 1e400 and theta**3 = 1e600 leave the float range
+    assert residuals["b_Ac"] == residuals["b_AAc"] == float("inf")
+    assert report.attained_order == 1
