@@ -22,6 +22,7 @@ import argparse
 import math
 import json
 import os
+import re
 import sys as _sys
 
 from . import harness
@@ -83,6 +84,8 @@ def _split_params(ap, argv):
                 if value is None:
                     raise ValueError(f"missing value for parameter {flag}")
             params[flag[2:]] = value
+        elif re.match(r"-\.?\d", tok) and rest and rest[-1][:2] == "--" and "=" not in rest[-1]:
+            rest[-1] += "=" + tok  # a negative value: argparse may take "-1e-3" for an option
         else:
             rest.append(tok)
     return rest, params

@@ -180,14 +180,21 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def _min_eig_and_threshold(M: np.ndarray, tol: float):
-    """Min eigenvalue of sym(M) and the PSD threshold tol*max(1, |M|max).
-
-    M is a stack of square matrices; both results have its leading shape.
-    A matrix passes when its min eigenvalue is >= -threshold.
-    """
-    min_eig = np.linalg.eigvalsh(_sym(M)).min(axis=-1)
-    return min_eig, tol * np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+def _psd_verdicts(M: np.ndarray, tol: float) -> np.ndarray:
+    """Per matrix of an (n, k, k) stack: min eig of sym(M) >= -thr = -tol*max(1, |M|max),
+    decided by an unpivoted LDL^T of sym(M) + thr*I on the stack transposed to (k, k, n),
+    so each update is one numpy op on contiguous n-vectors. A zero pivot passes only if
+    the rest of its column is zero, and a matrix with a non-finite entry fails."""
+    k = M.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        S = np.add(M.transpose(1, 2, 0), M.transpose(2, 1, 0), order="C") * 0.5
+        ok = np.isfinite(S).all(axis=(0, 1))
+        S[range(k), range(k)] += tol * np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+        for j in range(k):
+            d, col = S[j, j], S[j + 1:, j]
+            ok &= (d > 0) | ((d == 0) & ~col.any(axis=0))
+            S[j + 1:, j + 1:] -= col[:, None] * (col / np.where(d > 0, d, np.inf))
+    return ok
 
 
 @dataclass(frozen=True)
@@ -298,7 +305,8 @@ def certify(
     zs = np.asarray(z_samples, dtype=float).reshape(-1, 1, 1)
     # one stack: D_E, D_EI, then D(z) at every sample
     stack = np.concatenate([pair.d_e[None], pair.d_ei[None], pair.at(zs)])
-    min_eig, thr = _min_eig_and_threshold(stack, tol)
+    min_eig = np.linalg.eigvalsh(_sym(stack)).min(axis=-1)
+    thr = tol * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
     v_e, v_ei = (PsdVerdict(bool(min_eig[i] >= -thr[i]), float(min_eig[i]), float(thr[i]))
                  for i in (0, 1))
     certified = v_e.is_psd and v_ei.is_psd
@@ -384,9 +392,9 @@ def scan_parameter(
     The grid lo + i*step (lo <= hi) is evaluated as one float batch: the
     family is built once along it (`tableau.family_batch`), the pairs of all
     valid points come from one run of `differentiation_pair`'s forward
-    substitution over the float stack, and each matrix gets one stacked
-    eigvalsh with `certify`'s threshold. Memory is O(n*s^2) for n grid
-    points, so grids beyond MAX_SCAN_POINTS are rejected.
+    substitution over the float stack, and each matrix the target reads gets
+    one batched PSD verdict (`_psd_verdicts`, `certify`'s threshold). Memory
+    is O(n*s^2) for n grid points, so grids beyond MAX_SCAN_POINTS are rejected.
     """
     if target not in ("certified", "d_e", "d_ei"):
         raise ValueError(f"unknown scan target {target!r}")
@@ -401,11 +409,9 @@ def scan_parameter(
     A, A_hat, valid = family_batch(family, symbol, grid, fixed or {})
     A, A_hat = A[valid], A_hat[valid]  # peak memory: drop the full stacks before the solve
     d_e, d_ei = _pair_stack(A, A_hat)
-    min_eig_e, thr_e = _min_eig_and_threshold(d_e, tol)
-    min_eig_ei, thr_ei = _min_eig_and_threshold(d_ei, tol)
-    ok_e, ok_ei = min_eig_e >= -thr_e, min_eig_ei >= -thr_ei
     good = np.zeros(n, dtype=bool)
-    good[valid] = {"certified": ok_e & ok_ei, "d_e": ok_e, "d_ei": ok_ei}[target]
+    read = {"certified": (d_e, d_ei), "d_e": (d_e,), "d_ei": (d_ei,)}[target]
+    good[valid] = np.logical_and.reduce([_psd_verdicts(M, tol) for M in read])
     values = grid.tolist()
     edges = np.flatnonzero(np.diff(np.concatenate([[0], good, [0]])))  # run starts, run ends
     intervals = [(values[a], values[b - 1]) for a, b in zip(edges[0::2], edges[1::2])]

@@ -240,7 +240,9 @@ def check_order_conditions(t: ImexTableau, tol: float = 1e-10) -> OrderReport:
     s = t.s
     exact = t.exact
     L = math.lcm(*(x.denominator for x in itertools.chain(t.c, *t.A, *t.A_hat))) if exact else 1
-    scaled = (lambda row: [x.numerator * (L // x.denominator) for x in row]) if exact else list
+    # a float tableau keeps its Fractions but reads Fraction(0) as int 0: mixed products stay fast
+    scaled = ((lambda row: [x.numerator * (L // x.denominator) for x in row]) if exact
+              else (lambda row: [0 if type(x) is Fraction and not x else x for x in row]))
     c = scaled(t.c)
     A = [scaled(r) for r in t.A]
     Ah = [scaled(r) for r in t.A_hat]

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from ierk import dissipation
 from ierk.dissipation import (
     DEFAULT_Z_SAMPLES,
+    _psd_verdicts,
     average_rate,
     certify,
     difference_coefficients,
@@ -396,6 +398,46 @@ def test_scan_d_e_target():
 def test_scan_rejects_unknown_target():
     with pytest.raises(ValueError):
         scan_parameter("IERK3-1", "a55", 0.5, 1.0, 0.1, target="bogus")
+
+
+def test_psd_verdicts_of_an_empty_stack_are_empty():
+    got = _psd_verdicts(np.zeros((0, 3, 3)), 1e-12)
+    assert got.shape == (0,) and got.dtype == bool
+
+
+def test_psd_verdicts_fail_non_finite_matrices():
+    eye = np.eye(3)
+    stack = np.array([eye, eye, eye, eye, eye])
+    stack[1, 0, 0] = np.inf
+    stack[2, 1, 2] = np.nan
+    stack[3, 0, 2], stack[3, 2, 0] = np.inf, -np.inf
+    for tol in (0.0, 1e-12, 1e-3):
+        assert _psd_verdicts(stack, tol).tolist() == [True, False, False, False, True]
+
+
+def test_psd_verdicts_zero_pivot_needs_a_zero_column():
+    # exactly singular PSD (zero pivots with zero columns) against a zero
+    # pivot whose column is not zero, first and after one elimination step
+    stack = np.array([
+        [[0.0, 0, 0], [0, 2, 1], [0, 1, 3]],
+        [[1.0, 1, 2], [1, 1, 2], [2, 2, 4]],
+        [[0.0, 1, 0], [1, 5, 0], [0, 0, 5]],
+        [[1.0, 1, 0], [1, 1, 1], [0, 1, 5]],
+    ])
+    assert _psd_verdicts(stack, 0.0).tolist() == [True, True, False, False]
+
+
+@pytest.mark.parametrize("target, calls", [("d_e", 1), ("d_ei", 1), ("certified", 2)])
+def test_scan_decides_only_the_matrices_its_target_reads(monkeypatch, target, calls):
+    seen = []
+
+    def counting(M, tol):
+        seen.append(M.shape)
+        return _psd_verdicts(M, tol)
+
+    monkeypatch.setattr(dissipation, "_psd_verdicts", counting)
+    scan_parameter("IERK2-1", "c2", 0.1, 0.5, 0.05, fixed={"a33": 1.0}, target=target)
+    assert seen == [(9, 2, 2)] * calls
 
 
 def _reference_scan(family, symbol, lo, hi, step, fixed, target, tol=1e-12):

@@ -493,6 +493,45 @@ def test_cli_parser_errors_are_one_line(args, message, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spaced, joined", [
+    (["--lo", "-1e-1", "--hi", "-5e-2", "--step", "1E-2"],
+     ["--lo=-1e-1", "--hi=-5e-2", "--step=1E-2"]),
+    (["--lo", "-1E-1", "--hi", "-.05", "--step", "0.01"],
+     ["--lo=-0.1", "--hi=-0.05", "--step=0.01"]),
+])
+def test_cli_negative_values_in_exponent_notation_parse(spaced, joined, tmp_path, capsys):
+    outputs = []
+    for flags in (spaced, joined):
+        rc = main(["scan", "IERK3-2", "--symbol", "a43", *flags])
+        outputs.append((rc, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1 and outputs[0][1].err == ""
+    assert json.loads(outputs[0][1].out)["n_values"] == 6
+
+
+@pytest.mark.parametrize("args, message", [
+    (["evolve", "IERK1", "--theta", "1/2", "--tau", "-1e-3", "--t-final", "1"],
+     "tau must be positive"),
+    (["evolve", "IERK1", "--theta", "1/2", "--tau", "0.05", "--kappa", "-2E0"],
+     "kappa must be nonnegative"),
+    (["evolve", "IERK1", "--theta", "1/2", "--tau", "0.05", "--epsilon", "-1E-1",
+      "--t-final", "0.1"], None),
+    (["converge", "IERK1", "--theta", "1/2", "--tau-grid", "-5e-2,-1e-1"],
+     "tau_grid entry must be positive"),
+    (["scan", "IERK3-2", "--symbol", "a43", "--lo", "--hi", "1"],
+     "argument --lo: expected one argument"),
+    (["scan", "IERK3-2", "--symbol", "a43", "--lo", "-1e-1", "--hi"],
+     "argument --hi: expected one argument"),
+])
+def test_cli_negative_value_reaches_its_flag(args, message, capsys):
+    rc = main(args)
+    err = capsys.readouterr().err
+    if message is None:
+        assert rc == 0 and err == ""
+    else:
+        assert rc == 2 and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (["converge", "IERK1", "--theta", "1", "--tau-grid", "0.1,0.05", "--initial", "tanh-bumps"],
      "converge has no option --initial; IERK1 takes the parameters: theta"),

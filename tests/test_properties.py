@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from ierk.dissipation import certify, scan_parameter  # noqa: E402
+from ierk.dissipation import _psd_verdicts, certify, scan_parameter  # noqa: E402
 from ierk.tableau import ImexTableau, check_order_conditions, registry  # noqa: E402
 
 # The criterion-4 scan windows: (family, symbol, lo, hi, fixed parameters).
@@ -86,12 +87,58 @@ def _reference_residuals(t):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(rational_tableaux())
-def test_order_residuals_equal_the_fraction_reference(tab):
+@given(rational_tableaux(), st.randoms(use_true_random=False))
+def test_order_residuals_equal_the_fraction_reference(tab, rnd):
     float_view = ImexTableau(name="float view", c=[float(x) for x in tab.c],
                              A=[[float(x) for x in r] for r in tab.A],
                              A_hat=[[float(x) for x in r] for r in tab.A_hat])
-    assert tab.exact and not float_view.exact
-    for t in (tab, float_view):
+    # the mixed view turns some entries into floats; the rest, zeros included,
+    # stay Fractions, as in a family built at a float parameter
+    mixed = [[float(x) if rnd.random() < 0.3 else x for x in row]
+             for row in (tab.c, *tab.A, *tab.A_hat)]
+    mixed[0][-1] = float(mixed[0][-1])  # c[-1] = 1: at least one float entry
+    s = tab.s
+    mixed_view = ImexTableau(name="mixed view", c=mixed[0], A=mixed[1:s + 1], A_hat=mixed[s + 1:])
+    assert tab.exact and not float_view.exact and not mixed_view.exact
+    for t in (tab, float_view, mixed_view):
         got = {c.name: (c.order, c.residual) for c in check_order_conditions(t).conditions}
         assert got == _reference_residuals(t)
+
+
+@st.composite
+def psd_test_stacks(draw):
+    """An (n, k, k) stack of general, exactly singular PSD Gram, zero,
+    diagonal with mixed signs, and zero-pivot matrices, each at its own scale."""
+    k = draw(st.integers(1, 6))
+    ints = st.integers(-4, 4)
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["general", "gram", "zero", "diagonal", "zero pivot"]))
+        scale = 10.0 ** draw(st.integers(-8, 8))
+        if kind == "gram":  # B^T B with rank < k: PSD and exactly singular
+            B = np.array(draw(st.lists(st.lists(ints, min_size=k, max_size=k),
+                                       min_size=0, max_size=k - 1)), dtype=float).reshape(-1, k)
+            M = B.T @ B
+        elif kind == "diagonal":
+            M = np.diag(draw(st.lists(ints, min_size=k, max_size=k))).astype(float)
+        elif kind == "zero":
+            M = np.zeros((k, k))
+        else:
+            M = np.array(draw(st.lists(st.floats(-4, 4), min_size=k * k, max_size=k * k)))
+            M = M.reshape(k, k)
+            if kind == "zero pivot":
+                j = draw(st.integers(0, k - 1))
+                M[j, j] = 0.0
+        stack.append(M * scale)
+    return np.array(stack)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(psd_test_stacks(), st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_psd_verdicts_equal_the_eigenvalue_verdict(stack, tol):
+    got = _psd_verdicts(stack, tol)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+    min_eig = np.linalg.eigvalsh(0.5 * (stack + stack.swapaxes(-1, -2))).min(axis=-1)
+    thr = tol * scale
+    clear = np.abs(min_eig + thr) > 1e-9 * scale
+    assert (got[clear] == (min_eig >= -thr)[clear]).all()
