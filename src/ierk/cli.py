@@ -28,7 +28,7 @@ import sys as _sys
 from . import harness
 from .errors import IerkError
 from .spectral import SpectralGrid
-from .tableau import FAMILIES, as_scalar
+from .tableau import FAMILIES
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -41,15 +41,17 @@ def _parse_params(pairs):
         if "=" not in item:
             raise ValueError(f"--p expects NAME=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        params[key.strip()] = as_scalar(value.strip())
+        params[key.strip()] = value.strip()
     return params
 
 
 def _check_flags(command, cfg, flags):
     """Refuse a parameter flag that the method does not take, most likely an
-    option that the command does not have; an unknown method is left to the registry."""
-    family = None if cfg.get("tableau_file") else FAMILIES.get(cfg.get("method"))
-    if family is None and not cfg.get("tableau_file"):
+    option that the command does not have; an unknown method is left to the
+    registry, and a method that is not a string to the parse."""
+    tableau_file, method = cfg.get("tableau_file"), cfg.get("method")
+    family = FAMILIES.get(method) if isinstance(method, str) and not tableau_file else None
+    if family is None and not tableau_file:
         return
     method, symbols = (family.name, family.free_symbols) if family else ("a --tableau method", ())
     for name in flags:
@@ -66,8 +68,8 @@ def _split_params(ap, argv):
     natural form `certify IERK2-1 --c2 1 --a33 0.5` work without pre-declaring
     every family's symbols. Taking its value here, rather than after argparse,
     keeps that value from filling the optional METHOD positional (`evolve
-    --config cfg.json --theta 1/2`). The values stay strings until
-    `_merge_config` has checked the names against the method.
+    --config cfg.json --theta 1/2`). The values stay text until the tableau
+    is built; `_experiment` checks the names against the method first.
     """
     command = next((tok for tok in argv if not tok.startswith("-")), None)
     sub = ap.commands.get(command)
@@ -91,20 +93,19 @@ def _split_params(ap, argv):
     return rest, params
 
 
-def _merge_config(args):
-    """The config file's mapping, with every experiment key the subcommand's
-    options set and the method parameters from `--p` and plain flags."""
+def _experiment(args, command=None):
+    """The command's one `Experiment`: the config file's mapping with every key the
+    subcommand's options set and the method parameters of `--p` and plain flags."""
     cfg = harness.load_config(args.config) if args.config else {}
     for key in harness.CONFIG_SCHEMA:
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
-    flags = args.extra_params
-    _check_flags(args.command, cfg, flags)
-    extra = {**_parse_params(getattr(args, "p", None)),
-             **{name: as_scalar(value) for name, value in flags.items()}}
-    if extra:
-        cfg["params"] = {**(cfg.get("params") or {}), **extra}
-    return cfg
+    _check_flags(args.command, cfg, args.extra_params)
+    extra = {**_parse_params(getattr(args, "p", None)), **args.extra_params}
+    params = cfg.get("params")
+    if extra and (params is None or isinstance(params, dict)):  # else the parse names it
+        cfg["params"] = {**(params or {}), **extra}
+    return harness.Experiment.parse(cfg, command)
 
 
 def _finite(obj):
@@ -116,13 +117,14 @@ def _finite(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _emit(outdir, report):
-    """Print the report, and write it to report.json under outdir: strict JSON."""
+def _emit(outdir, report, ok) -> int:
+    """Print the report and write it to outdir/report.json, as strict JSON; exit 0 if ok, else 1."""
     report = _finite(report)
     if outdir:
         harness.write_json(os.path.join(outdir, "report.json"), report)
     json.dump(report, _sys.stdout, indent=2, sort_keys=True, allow_nan=False)
     _sys.stdout.write("\n")
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _add_common(p, method_positional=True):
@@ -204,10 +206,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(rest)
         args.extra_params = params
         return _dispatch(args)
-    except IerkError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_BAD_CONFIG
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (IerkError, ValueError, KeyError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_BAD_CONFIG
 
@@ -217,17 +216,15 @@ def _dispatch(args) -> int:
 
     if args.command in ("verify", "certify"):
         run = harness.run_verify if args.command == "verify" else harness.run_certify
-        report = run(harness.resolve_method(_merge_config(args)), tol=args.tol)
-        _emit(outdir, report)
-        return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+        report = run(_experiment(args).tableau, tol=args.tol)
+        return _emit(outdir, report, report["ok"])
 
     if args.command == "scan":
-        exp = harness.Experiment.parse(_merge_config(args))
+        exp = _experiment(args)
         if not exp.method:
             raise ValueError("scan needs a method family")
-        fixed = {k: as_scalar(v) for k, v in exp.params.items()}
         report = harness.run_scan(exp.method, args.symbol, args.lo, args.hi, args.step,
-                                  fixed=fixed, target=args.target)
+                                  fixed=exp.params, target=args.target)
         rows = report.pop("rows")
         if outdir:
             harness.write_csv(
@@ -235,8 +232,7 @@ def _dispatch(args) -> int:
                 (args.symbol, "certified"),
                 [(r["value"], "" if r["verdict"] is None else int(r["verdict"])) for r in rows],
             )
-        _emit(outdir, report)
-        return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+        return _emit(outdir, report, report["ok"])
 
     if args.command == "rate-table":
         if args.extra_params:
@@ -252,11 +248,10 @@ def _dispatch(args) -> int:
                     for r in rows
                 ],
             )
-        _emit(outdir, {"rows": rows, "ok": True})
-        return EXIT_OK
+        return _emit(outdir, {"rows": rows, "ok": True}, True)
 
     if args.command == "converge":
-        table = harness.run_converge(_merge_config(args))
+        table = harness.run_converge(_experiment(args, "converge"))
         report = {
             "method": table.method,
             "params": table.params,
@@ -279,19 +274,17 @@ def _dispatch(args) -> int:
                     title=f"max-norm error vs tau ({table.method})",
                     logx=True, logy=True,
                 )
-        _emit(outdir, report)
-        return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+        return _emit(outdir, report, report["ok"])
 
     if args.command == "evolve":
-        cfg = _merge_config(args)
-        trace, summary, final = harness.run_evolve(cfg)
+        exp = _experiment(args, "evolve")
+        trace, summary, final = harness.run_evolve(exp)
         if outdir:
             harness.write_trace_csv(os.path.join(outdir, "trace.csv"), trace)
             if trace.stage_energies is not None:
-                tab = harness.resolve_method(cfg)
-                harness.write_stage_csv(os.path.join(outdir, "stages.csv"), trace, tab)
+                harness.write_stage_csv(os.path.join(outdir, "stages.csv"), trace, exp.tableau)
             if final is not None:
-                grid = SpectralGrid(*summary["domain"], summary["m"])
+                grid = SpectralGrid(*exp.domain, exp.m)
                 harness.write_field_csv(os.path.join(outdir, "snapshot.csv"), grid, final)
             if len(trace):
                 harness.svg_line_plot(
@@ -299,8 +292,7 @@ def _dispatch(args) -> int:
                     [(summary["method"], trace.times, trace.energies)],
                     title=f"energy vs time ({summary['method']})",
                 )
-        _emit(outdir, summary)
-        return EXIT_OK if not summary["diverged"] else EXIT_CHECK_FAILED
+        return _emit(outdir, summary, not summary["diverged"])
 
     raise ValueError(f"unhandled command {args.command}")
 

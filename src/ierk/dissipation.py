@@ -163,9 +163,12 @@ def differentiation_pair(t: ImexTableau) -> DifferentiationPair:
     """
     exact = t.exact
     A, A_hat = (np.array([M], dtype=object if exact else float) for M in (t.A, t.A_hat))
-    d_e, d_ei = (M[0] for M in _pair_stack(A, A_hat))
+    with np.errstate(over="ignore", invalid="ignore"):  # a float overflow is refused below
+        d_e, d_ei = (M[0] for M in _pair_stack(A, A_hat))
     try:
         float_d_e, float_d_ei = d_e.astype(float), d_ei.astype(float)
+        if not np.isfinite((float_d_e, float_d_ei)).all():
+            raise OverflowError
     except OverflowError:
         raise InvalidTableau(f"{t.name}: (D_E, D_EI) has an entry too large for a float") from None
     return DifferentiationPair(

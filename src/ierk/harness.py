@@ -2,10 +2,10 @@
 energy-decay studies, with CSV/JSON/SVG emission.
 
 An experiment is one frozen `Experiment`, read once from a flat config mapping
-(usually a JSON file, with CLI flags overriding keys) by `Experiment.parse`; the
-mapping entry points (`build_system`, `resolve_method`, `run_converge`,
-`run_evolve`) parse their mapping inside. Drivers return plain data structures;
-writers turn them into files under an output directory.
+(usually a JSON file, with CLI flags overriding keys) by `Experiment.parse`; its
+tableau is built once, on first use. `run_converge` and `run_evolve` take one
+parsed for their command, or parse a mapping as `build_system` and
+`resolve_method` do. Drivers return plain data; writers turn it into files.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -120,6 +121,7 @@ class Experiment:
         return SpectralSystem(grid=SpectralGrid(lo, hi, self.m), epsilon=self.epsilon,
                               kappa=self.kappa, source=source)
 
+    @cached_property
     def tableau(self) -> ImexTableau:
         if self.tableau_file:
             return load_tableau(self.tableau_file)
@@ -169,7 +171,7 @@ def build_system(cfg: Mapping) -> SpectralSystem:
 
 
 def resolve_method(cfg: Mapping) -> ImexTableau:
-    return Experiment.parse(cfg).tableau()
+    return Experiment.parse(cfg).tableau
 
 
 def step_count(t_final: float, tau: float, key: str = "tau") -> int:
@@ -306,7 +308,7 @@ class ConvergenceTable:
         return sorted(tail)[len(tail) // 2]
 
 
-def run_converge(cfg: Mapping) -> ConvergenceTable:
+def run_converge(cfg: Experiment | Mapping) -> ConvergenceTable:
     """Max-norm error against the manufactured solution over a tau grid.
 
     The error of one run is the maximum over all steps of the nodal max-norm
@@ -315,8 +317,8 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
     non-finite records an infinite error, leaves at once and touches no other.
     The solution starts from the sine, and a single run's keys are refused.
     """
-    exp = Experiment.parse(cfg, "converge")
-    sys, tab = exp.system(), exp.tableau()
+    exp = cfg if isinstance(cfg, Experiment) else Experiment.parse(cfg, "converge")
+    sys, tab = exp.system(), exp.tableau
     t_final, taus = exp.t_final, list(exp.tau_grid)
     if not taus:
         raise ValueError("tau_grid must hold at least one step size")
@@ -326,7 +328,6 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
     for tau, n in zip(taus, steps):
         if abs(n * tau - t_final) > 1e-9 * t_final:
             raise ValueError(f"tau={tau} does not divide t_final={t_final}")
-    kernel = _StageKernel(sys, tab, taus)
     # decaying_sine(sys, t) is exactly e^{-t} times its t = 0 values
     profile = spectral.decaying_sine(sys, 0.0)
     vals = np.tile(profile, (len(taus), 1))
@@ -335,6 +336,7 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
     live, tau, ends = np.arange(len(taus)), np.array(taus), np.array(steps)
     err, errors, stops = np.zeros(len(taus)), np.zeros(len(taus)), set(steps)
     with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _StageKernel(sys, tab, taus)
         for k in range(steps[-1]):
             # a row leaves when it has taken its steps or its error is no longer finite
             if k in stops or not math.isfinite(err.sum()):
@@ -373,7 +375,7 @@ def run_converge(cfg: Mapping) -> ConvergenceTable:
 # energy-decay study
 # ---------------------------------------------------------------------------
 
-def run_evolve(cfg: Mapping) -> tuple:
+def run_evolve(cfg: Experiment | Mapping) -> tuple:
     """Long-time energy run; returns (trace, summary, final_field).
 
     The summary records the worst per-stage energy rise relative to each
@@ -381,14 +383,14 @@ def run_evolve(cfg: Mapping) -> tuple:
     run is configured) the trapezoidal deviation integral(|E - E_ref|) dt on
     the coarse time grid. final_field is None when the run diverged.
     """
-    exp = Experiment.parse(cfg, "evolve")
-    sys, tab, tau = exp.system(), exp.tableau(), exp.tau
+    exp = cfg if isinstance(cfg, Experiment) else Experiment.parse(cfg, "evolve")
+    sys, tab, tau = exp.system(), exp.tableau, exp.tau
     n_steps = step_count(exp.t_final, tau)
     ref = exp.reference and exp.reference_run()
     if ref:  # a reference step that cannot serve must not cost the main run first
         step_count(ref.t_final, ref.tau, "reference tau")
         _reference_stride(tau, ref.tau)
-        ref.tableau()
+        ref.tableau  # built here, and kept for reference_trace
     u0 = spectral.initial_field(sys.grid, exp.initial)
     diverged = False
     final = None
@@ -428,7 +430,7 @@ def reference_trace(ref: Experiment) -> EnergyTrace:
         sys = ref.system()
         n = step_count(ref.t_final, ref.tau, "reference tau")
         u0 = spectral.initial_field(sys.grid, ref.initial)
-        _, trace = evolve(sys, ref.tableau(), u0, ref.tau, n)
+        _, trace = evolve(sys, ref.tableau, u0, ref.tau, n)
         _REFERENCE_CACHE[key] = trace
     return _REFERENCE_CACHE[key]
 
@@ -555,7 +557,6 @@ def load_config(path) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    Experiment.parse(cfg)
     return cfg
 
 

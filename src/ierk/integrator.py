@@ -14,7 +14,8 @@ term) and one irfft. Both call the pocketfft gufuncs under np.fft.rfft/irfft
 directly, which halves their cost at m = 256 with bit-identical results. Runs
 that end or diverge leave the batch. `evolve` and the reference run are
 batches of one, the convergence study one batch over its tau grid, and `step`
-wraps one kernel step in a StepRecord; each enters np.errstate once.
+wraps one kernel step in a StepRecord; each builds its kernel and steps in one
+np.errstate, so an overflowing coefficient diverges the run without a warning.
 """
 
 from __future__ import annotations
@@ -35,19 +36,20 @@ from .tableau import ImexTableau
 class StepRecord:
     """All stage values and energies of one step.
 
-    stage_spectra[i] holds the Fourier coefficients of U_i; stage 0 is the
+    stage_spectra[i] holds the rfft half spectrum of U_i, as the stage kernel
+    computes it (m is even, so irfft restores all m values); stage 0 is the
     incoming solution and the last stage is the step result (stiffly
     accurate). stage_energies[i] is the discrete energy at stage i.
     """
 
     t_start: float
     tau: float
-    stage_spectra: np.ndarray  # (s, m) complex
+    stage_spectra: np.ndarray  # (s, m//2 + 1) complex
     stage_energies: np.ndarray  # (s,)
 
     @property
     def result(self) -> Field:
-        return Field(spectrum=self.stage_spectra[-1])
+        return Field(values=np.fft.irfft(self.stage_spectra[-1]))
 
 
 @dataclass
@@ -174,18 +176,13 @@ def step(
     Raises NonInvertibleStage when 1 - tau*a_ii*(M L_kappa symbol) vanishes
     on some mode (possible only for negative diagonal entries).
     """
-    kernel = _StageKernel(sys, tab, tau)
-    m = sys.grid.m
-    u_hat, u_vals = u_prev.spectrum[None, : kernel.half], u_prev.values[None]
     energies = np.empty((tab.s, 1))
-    energies[0] = energy_from_spectrum(sys, u_hat, u_vals)
     with np.errstate(over="ignore", invalid="ignore"):
-        half, _ = kernel.step(u_hat, u_vals, t_prev, energies)
-    spectra = np.empty((tab.s, m), dtype=complex)
-    spectra[:, : kernel.half] = half[:, 0]
-    # real fields: the negative frequencies mirror the positive ones
-    spectra[:, kernel.half:] = np.conj(spectra[:, m // 2 - 1 : 0 : -1])
-    return StepRecord(t_start=t_prev, tau=tau, stage_spectra=spectra,
+        kernel = _StageKernel(sys, tab, tau)
+        u_hat, u_vals = u_prev.spectrum[None, : kernel.half], u_prev.values[None]
+        energies[0] = energy_from_spectrum(sys, u_hat, u_vals)
+        spectra, _ = kernel.step(u_hat, u_vals, t_prev, energies)
+    return StepRecord(t_start=t_prev, tau=tau, stage_spectra=spectra[:, 0],
                       stage_energies=energies[:, 0])
 
 
@@ -204,13 +201,13 @@ def evolve(
     step produces non-finite values; the exception carries the trace of the
     completed steps so callers can still inspect the recorded energies.
     """
-    kernel = _StageKernel(sys, tab, tau)
-    times = t0 + (np.arange(n_steps) + 1) * tau
-    # every step's stage energies; _build_trace fills in stage 0
-    record = np.empty((n_steps, tab.s, 1))
-    u_hat, vals = u0.spectrum[None, : kernel.half], u0.values[None]
-    e_init = energy_from_spectrum(sys, u_hat[0], vals[0])
     with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _StageKernel(sys, tab, tau)
+        times = t0 + (np.arange(n_steps) + 1) * tau
+        # every step's stage energies; _build_trace fills in stage 0
+        record = np.empty((n_steps, tab.s, 1))
+        u_hat, vals = u0.spectrum[None, : kernel.half], u0.values[None]
+        e_init = energy_from_spectrum(sys, u_hat[0], vals[0])
         for n in range(n_steps):
             spectra, vals = kernel.step(u_hat, vals, t0 + n * tau, record[n])
             u_hat = spectra[-1]
@@ -221,8 +218,8 @@ def evolve(
                     steps_completed=n + 1,
                     trace=trace,
                 )
-    u = Field(values=vals[0].copy()) if n_steps else u0
-    return u, _build_trace(e_init, times, record[:, :, 0], record_stages)
+        u = Field(values=vals[0].copy()) if n_steps else u0
+        return u, _build_trace(e_init, times, record[:, :, 0], record_stages)
 
 
 def _build_trace(e_init, times, stages, record_stages) -> EnergyTrace:
@@ -260,10 +257,9 @@ def differential_form_residual(sys: SpectralSystem, tab: ImexTableau, rec: StepR
     if sys.source is not None:
         raise ValueError("residual check requires an autonomous system (source=None)")
     pair = differentiation_pair(tab)
-    m, tau = sys.grid.m, rec.tau
+    m, tau, u = sys.grid.m, rec.tau, rec.stage_spectra
     half = m // 2 + 1
     mob, lk = sys.mobility_symbol[:half], sys.stabilized_symbol[:half]
-    u = rec.stage_spectra[:, :half]
     du = np.diff(u, axis=0)
     lhs = pair.d_e @ du - tau * sys.mobility_stiff_symbol[:half] * (pair.d_ei @ du)
     g = np.fft.rfft(sys.nonlinearity(np.fft.irfft(u[:-1], m), stabilized=True))

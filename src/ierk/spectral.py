@@ -35,6 +35,8 @@ class SpectralGrid:
             raise ValueError(f"m must be at most {MAX_M}, got {self.m}")
         if not self.x_hi > self.x_lo:
             raise ValueError("empty domain")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"{self.m} nodes over [{self.x_lo}, {self.x_hi}) are {self.h} apart")
 
     @property
     def h(self) -> float:
@@ -113,9 +115,13 @@ class SpectralSystem:
     def __post_init__(self):
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
-        k = self.grid.wavenumbers
-        object.__setattr__(self, "_mob", -(k**2))
-        object.__setattr__(self, "_stiff", (self.epsilon**2) * k**2)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            k = self.grid.wavenumbers
+            object.__setattr__(self, "_mob", -(k**2))
+            object.__setattr__(self, "_stiff", (self.epsilon**2) * k**2)
+            if not np.isfinite(self.mobility_stiff_symbol).all():
+                raise ValueError(f"M L_kappa overflows a float on {self.grid} at "
+                                 f"epsilon={self.epsilon}, kappa={self.kappa}")
         # h-scaled Parseval weights on the rfft half spectrum: interior modes
         # stand for their conjugate twins as well
         half = self.grid.m // 2 + 1

@@ -220,6 +220,9 @@ _EVOLVE_CFG = {"method": "IERK1", "params": {"theta": 0.5}, "tau": 0.1, "t_final
     ({"reference": {"method": "IERK1", "tau": "0.05"}}, [],
      "reference config key 'tau' must be a number"),
     ({"reference": {"params": {"theta": 0.5}}}, [], "reference config needs a 'method'"),
+    # a flag merged into a config whose params or method is of the wrong type
+    ({"params": [1]}, ["--theta", "1/2"], "config key 'params' must be an object"),
+    ({"method": ["x"]}, ["--theta", "1/2"], "config key 'method' must be a string, got ['x']"),
 ])
 def test_cli_config_value_of_wrong_type_exits_2(extra, flags, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -266,6 +269,16 @@ _CONVERGE_CFG = {"method": "IERK1", "params": {"theta": 0.5}, "m": 32, "tau_grid
     # a grid too large to allocate, refused before any allocation
     ("evolve", {**_EVOLVE_CFG, "m": 2**40}, [], f"m must be at most 1048576, got {2**40}"),
     ("evolve", {**_EVOLVE_CFG, "m": 2**80}, [], f"m must be at most 1048576, got {2**80}"),
+    # a grid whose spacing or operator symbols no float can hold
+    ("converge", {**_CONVERGE_CFG, "domain": [0, 5e-324]}, [],
+     "32 nodes over [0.0, 5e-324) are 0.0 apart"),
+    ("evolve", {**_EVOLVE_CFG, "domain": [-1e308, 1e308]}, [],
+     "32 nodes over [-1e+308, 1e+308) are inf apart"),
+    ("converge", {**_CONVERGE_CFG, "domain": [0, 1e-309], "m": 2}, [],
+     "M L_kappa overflows a float on SpectralGrid(x_lo=0.0, x_hi=1e-309, m=2)"),
+    ("evolve", {**_EVOLVE_CFG, "domain": [0, 1e-200]}, [], "M L_kappa overflows a float"),
+    ("evolve", {**_EVOLVE_CFG, "epsilon": 1e153}, [], "M L_kappa overflows a float"),
+    ("evolve", {**_EVOLVE_CFG, "kappa": 1e308}, [], "M L_kappa overflows a float"),
 ])
 def test_cli_bad_step_count_exits_2(command, cfg, flags, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -540,6 +553,13 @@ def test_cli_negative_value_reaches_its_flag(args, message, capsys):
     (["verify", "IERK4-A1", "--theta", "1"],
      "verify has no option --theta; IERK4-A1 takes no parameters"),
     (["verify", "IERK1", "--theta", "x"], "cannot parse coefficient 'x'"),
+    (["verify", "IERK4-A1", "--theta", "x"],
+     "verify has no option --theta; IERK4-A1 takes no parameters"),
+    # the flag is checked before the tableau file is read, or the config parsed
+    (["certify", "--tableau", "crank.json", "--theta", "1/2"],
+     "certify has no option --theta; a --tableau method takes no parameters"),
+    (["evolve", "--tableau", "crank.json", "--theta", "1/2", "--tau", "0.1"],
+     "evolve has no option --theta; a --tableau method takes no parameters"),
 ])
 def test_cli_unknown_flag_names_the_flag(args, message, capsys):
     assert main(args) == 2
@@ -586,6 +606,17 @@ def test_cli_evolve_blow_up_writes_strict_json(tmp_path, capsys):
          "--t-final", "50"], tmp_path, capsys)
     assert code == 1 and report["diverged"]
     assert report["final_energy"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "IERK3-1", "--a55", "1e300", "--kappa", "1e305", "--tau", "0.5", "--t-final", "1"],
+    ["converge", "IERK3-1", "--a55", "1e300", "--kappa", "1e305", "--tau-grid", "0.5"],
+])
+def test_cli_overflowing_stage_coefficients_diverge(argv, tmp_path, capsys):
+    # tau * a_ii * (M L_kappa symbol) overflows: the run diverges, with no warning
+    code, report, err = _cli_strict_report([*argv, "--m", "64"], tmp_path, capsys)
+    assert code == 1 and err == ""
+    assert report["diverged"] if argv[0] == "evolve" else report["rows"][0]["error"] is None
 
 
 def test_cli_certify_overflowing_minor_writes_strict_json(tmp_path, capsys):
@@ -741,6 +772,7 @@ def test_cli_config_integer_too_large_for_a_float_exits_2(command, cfg, key, tmp
     ({"source": "bogus"}, "unknown source 'bogus' (use none | manufactured)"),
     ({"epsilon": math.inf}, "epsilon and kappa must be finite"),
     ({"kappa": math.nan}, "epsilon and kappa must be finite"),
+    ({"params": [1]}, "config key 'params' must be an object of numbers or strings, got [1]"),
 ])
 def test_cli_every_command_parses_its_config(command, flags, extra, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -748,6 +780,46 @@ def test_cli_every_command_parses_its_config(command, flags, extra, message, tmp
     assert main([command, *flags, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+_SCAN_FLAGS = ["--symbol", "c2", "--lo", "0.5", "--hi", "1", "--step", "0.1"]
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["verify", "IERK1", "--theta", "1/2"], None),
+    (["verify", "--theta", "1/2"], {"method": "IERK1"}),
+    (["certify", "IERK3-2", "--p", "a43=-3/5"], None),
+    (["certify", "--tableau", "{tab}"], {"experiment": "crank"}),
+    (["scan", "IERK2-1", *_SCAN_FLAGS, "--a33", "1"], None),
+    (["scan", *_SCAN_FLAGS], {"method": "IERK2-1", "params": {"a33": 1}}),
+    (["converge", "IERK1", "--theta", "1/2", "--m", "32", "--tau-grid", "0.1,0.05"], None),
+    (["converge", "--tau-grid", "0.1,0.05"], _CONVERGE_CFG),
+    (["evolve", "IERK1", "--theta", "1/2", "--tau", "0.1", "--t-final", "0.5", "--m", "32",
+      "--record-stages", "--out", "{out}"], None),
+    (["evolve", "--record-stages", "--out", "{out}"], _EVOLVE_CFG),
+])
+def test_cli_parses_once_and_builds_the_tableau_once(argv, cfg, tmp_path, monkeypatch, capsys):
+    counts = {"parse": 0, "build": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    parse = Experiment.parse.__func__
+    monkeypatch.setattr(Experiment, "parse", classmethod(counted("parse", parse)))
+    monkeypatch.setattr(harness, "registry", counted("build", harness.registry))
+    monkeypatch.setattr(harness, "load_tableau", counted("build", harness.load_tableau))
+    tab, path = tmp_path / "crank.json", tmp_path / "cfg.json"
+    tab.write_text(json.dumps(tableau_to_dict(registry("IERK1", {"theta": F(1, 2)}))))
+    path.write_text(json.dumps(cfg))
+    argv = [{"{tab}": str(tab), "{out}": str(tmp_path / "run")}.get(a, a) for a in argv]
+    assert main(argv + (["--config", str(path)] if cfg else [])) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert counts == {"parse": 1, "build": 0 if argv[0] == "scan" else 1}
+    if "--record-stages" in argv:
+        assert (tmp_path / "run" / "stages.csv").read_text().startswith("n,i,c_i,E_stage\n")
 
 
 def test_svg_flat_series_at_large_magnitude(tmp_path):
@@ -771,7 +843,8 @@ def test_cli_evolve_huge_domain_writes_report(tmp_path, capsys):
 
 def _huge_param_case(tmp_path, form):
     """(argv, message): IERK1 or a tableau file with an entry no float can hold,
-    or ("pair") a tableau whose entries fit but whose D_E holds 1 / a_hat_32 = 10**400."""
+    or ("pair") a tableau whose entries fit but whose D_E holds 1 / a_hat_32 = 10**400,
+    or ("float pair") a float tableau whose D_E overflows with 1 / a_hat_32 = 1 / 1e-310."""
     coefficient = "a coefficient is too large for a float"
     if form == "flag":
         return ["certify", "IERK1", "--theta", str(_HUGE)], f"IERK1: {coefficient}"
@@ -782,6 +855,12 @@ def _huge_param_case(tmp_path, form):
         path.write_text(json.dumps({**_EVOLVE_CFG, "params": {"theta": _HUGE}}))
         return ["evolve", "--config", str(path)], f"IERK1: {coefficient}"
     path = tmp_path / "huge.json"
+    if form == "float pair":
+        path.write_text(json.dumps({"name": "tiny", "s": 3, "c": [0, 0.5, 1],
+                                    "A": [[0, 0, 0], [0.25, 0.25, 0], [0.25, 0.25, 0.5]],
+                                    "A_hat": [[0, 0, 0], [0.5, 0, 0], [1.0, 1e-310, 0]]}))
+        return (["certify", "--tableau", str(path)],
+                "tiny: (D_E, D_EI) has an entry too large for a float")
     if form == "pair":
         path.write_text(json.dumps({"name": "tiny", "s": 3, "c": [0, "1/2", 1],
                                     "A": [[0, 0, 0], ["1/4", "1/4", 0], ["1/4", "1/4", "1/2"]],
@@ -795,7 +874,7 @@ def _huge_param_case(tmp_path, form):
     return ["certify", "--tableau", str(path)], f"huge: {coefficient}"
 
 
-@pytest.mark.parametrize("form", ["flag", "verify", "config", "tableau", "pair"])
+@pytest.mark.parametrize("form", ["flag", "verify", "config", "tableau", "pair", "float pair"])
 def test_cli_coefficient_too_large_for_a_float_exits_2(form, tmp_path, capsys):
     argv, message = _huge_param_case(tmp_path, form)
     out_dir = tmp_path / "run"

@@ -35,7 +35,7 @@ def test_equilibria_are_fixed_points(name, params, bench_sys):
         rec = step(bench_sys, tab, u, 0.0, 0.05)
         assert np.abs(rec.result.values - const).max() <= 1e-13
         # every stage sits at the equilibrium as well
-        assert np.abs(np.fft.ifft(rec.stage_spectra).real - const).max() <= 1e-13
+        assert np.abs(np.fft.irfft(rec.stage_spectra, 256) - const).max() <= 1e-13
 
 
 def test_mass_conservation(bench_sys, rng):
@@ -347,7 +347,7 @@ def test_forced_step_matches_nodal_source_reference(name, params, rng):
     u0 = Field(values=np.sin(sys.grid.x) + _smooth_field(rng, sys.grid).values)
     for t, tau in ((0.0, 0.05), (0.7, 0.2)):
         ref = _stage_loop_reference(sys, tab, u0.values, t, tau)
-        got = step(sys, tab, u0, t, tau).stage_spectra[:, : ref.shape[1]]
+        got = step(sys, tab, u0, t, tau).stage_spectra
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 

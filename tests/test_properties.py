@@ -1,5 +1,11 @@
 """Property-based checks (run only where hypothesis is installed)."""
 
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +14,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from ierk.cli import main  # noqa: E402
 from ierk.dissipation import _psd_verdicts, certify, scan_parameter  # noqa: E402
-from ierk.tableau import ImexTableau, check_order_conditions, registry  # noqa: E402
+from ierk.harness import CONFIG_SCHEMA  # noqa: E402
+from ierk.tableau import (  # noqa: E402
+    FAMILIES, METHOD_NAMES, ImexTableau, check_order_conditions, registry)
 
 # The criterion-4 scan windows: (family, symbol, lo, hi, fixed parameters).
 WINDOWS = (
@@ -142,3 +151,100 @@ def test_psd_verdicts_equal_the_eigenvalue_verdict(stack, tol):
     thr = tol * scale
     clear = np.abs(min_eig + thr) > 1e-9 * scale
     assert (got[clear] == (min_eig >= -thr)[clear]).all()
+
+
+# Configs: for each command, a config of the keys it reads with mostly valid
+# values, and up to two keys (of any command) set to JSON of another type or to
+# an odd number. A run takes at most 20 steps (t_final <= 1, tau >= 0.05; an odd
+# tau or t_final is refused or gives at most 6) and its reference run at most
+# 40, on at most 64 nodes.
+_TEXT = st.text("abcIERK-13/.", max_size=6)
+_HUGE = st.integers(2**1024 - 2**970, 2**1100)  # float() cannot convert these
+_JUNK = st.recursive(  # never a finite number below 2**1024
+    st.none() | st.booleans() | _TEXT | _HUGE | st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6)
+_ODD = st.sampled_from([0, -1, 0.3, 2**40, 1e-300, 1e300, -0.0])
+_COEF = st.sampled_from(["1/2", "-3/5", "4/5", "2", "x"]) | st.integers(-2, 2) | st.floats(-2, 2)
+_TAU = st.sampled_from([0.05, 0.1, 0.25, 0.5])
+
+
+@st.composite
+def _method_params(draw):
+    """(method, params): mostly the method's own parameters, else any symbols."""
+    method = draw(st.sampled_from(METHOD_NAMES))
+    symbols = FAMILIES[method].free_symbols
+    own = st.fixed_dictionaries({k: _COEF for k in symbols})
+    other = st.dictionaries(st.sampled_from(symbols + ("theta", "bogus")), _COEF, max_size=2)
+    return method, draw(own | other)
+
+
+_VALUES = {
+    "experiment": _TEXT,
+    "method": None,  # drawn with its params
+    "params": None,
+    "tableau_file": st.none(),
+    "domain": st.lists(st.floats(-4, 4), min_size=2, max_size=2).map(sorted),
+    "m": st.sampled_from([2, 16, 64]),
+    "epsilon": st.floats(0.01, 1),
+    "kappa": st.floats(0, 8),
+    "source": st.sampled_from(["none", "manufactured"]),
+    "initial": st.sampled_from(["sine", "tanh-bumps"]),
+    "t_final": st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+    "tau": _TAU,
+    "tau_grid": st.lists(_TAU, min_size=1, max_size=4, unique=True).map(
+        lambda taus: sorted(taus, reverse=True)),
+    "record_stages": st.booleans(),
+    "reference": _method_params().flatmap(lambda mp: st.fixed_dictionaries(
+        {"method": st.just(mp[0]), "tau": _TAU.map(lambda t: t / 2)},
+        optional={"params": st.just(mp[1])})),
+}
+assert set(_VALUES) == set(CONFIG_SCHEMA)
+_SCENE = ("experiment", "domain", "epsilon", "kappa")
+_KEYS = {  # per command: the keys set besides method and params, and the keys maybe set
+    "verify": ((), tuple(CONFIG_SCHEMA)),
+    "certify": ((), tuple(CONFIG_SCHEMA)),
+    "converge": (("m", "t_final", "tau_grid"), _SCENE),
+    "evolve": (("m", "t_final", "tau"),
+               _SCENE + ("source", "initial", "record_stages", "reference")),
+}
+
+
+@st.composite
+def commands_and_configs(draw):
+    """(command, config, plain parameter flags)."""
+    command = draw(st.sampled_from(sorted(_KEYS)))
+    always, maybe = _KEYS[command]
+    keys = set(always) | set(draw(st.lists(st.sampled_from(maybe), unique=True)))
+    method, params = draw(_method_params())
+    cfg = {"method": method, "params": params}
+    cfg.update({key: draw(_VALUES[key]) for key in keys if _VALUES[key] is not None})
+    for key in draw(st.lists(st.sampled_from(sorted(CONFIG_SCHEMA)), max_size=2, unique=True)):
+        cfg[key] = draw(_JUNK | _ODD)
+    symbols = FAMILIES[method].free_symbols
+    flags = draw(st.sampled_from([[]] + [[f"--{k}", "1/2"] for k in symbols + ("theta",)]))
+    return command, cfg, flags
+
+
+def _reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(commands_and_configs())
+def test_any_config_exits_0_1_or_2(case):
+    # exit 2 prints one line; any report.json is strict JSON; main never raises
+    command, cfg, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "run")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)  # NaN and Infinity literals, as Python's json reads them
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", path, *flags, "--out", out])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
+        if os.path.exists(os.path.join(out, "report.json")):
+            with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+                json.load(fh, parse_constant=_reject_constant)
