@@ -9,9 +9,9 @@
 
 Method parameters ride along as plain flags (`--c2 1 --a33 0.5`) or as
 repeated `--p NAME=VALUE`; values parse exactly ("0.5" and "1/2" are the
-same rational). All subcommands accept --config (JSON object of the keys of
-`harness.Experiment`; an option of the same name overrides one) and --out DIR
-(write report.json plus table.csv / trace.csv / plot.svg as applicable).
+same rational). Every subcommand takes --out DIR (report.json plus table.csv /
+trace.csv / plot.svg as applicable), and all but rate-table take --config (JSON
+object of the keys of `harness.Experiment`; a same-named option overrides one).
 Exit codes: 0 success, 1 a requested check failed, 2 invalid configuration
 or parameters.
 """
@@ -167,7 +167,9 @@ def build_parser():
 
     p = sub.add_parser("certify", help="certify unconditional energy dissipation")
     _add_common(p)
-    p.add_argument("--tol", type=tolerance, default=1e-12)
+    p.add_argument("--tol", type=tolerance, default=1e-12,
+                   help="relative eigenvalue threshold for a float tableau; "
+                        "a rational tableau is decided exactly")
 
     p = sub.add_parser("scan", help="scan one parameter for certification")
     _add_common(p)
@@ -178,7 +180,6 @@ def build_parser():
     p.add_argument("--target", default="certified", choices=("certified", "d_e", "d_ei"))
 
     p = sub.add_parser("rate-table", help="average dissipation rates at the best parameters")
-    p.add_argument("--config", help=argparse.SUPPRESS)
     p.add_argument("--out", help="output directory")
 
     for name in ("converge", "evolve"):
@@ -236,7 +237,7 @@ def _dispatch(args) -> int:
 
     if args.command == "rate-table":
         if args.extra_params:
-            raise ValueError(f"rate-table takes no method parameters: {sorted(args.extra_params)}")
+            raise ValueError(f"rate-table has no option --{next(iter(args.extra_params))}")
         rows = harness.run_rate_table()
         if outdir:
             harness.write_csv(

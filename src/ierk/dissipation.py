@@ -14,18 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidTableau
 from .tableau import ImexTableau, family_batch, reduced_matrices
 
-#: Default z samples; D(z) is affine in z so sign changes are bracketed by
-#: the extremes plus z = 0.
-DEFAULT_Z_SAMPLES = (0.0, -1e-3, -1.0, -1e3, -1e6)
-
-#: Relative eigenvalue threshold for PSD verdicts.
+#: Relative eigenvalue threshold for the PSD verdicts of float tableaux.
 DEFAULT_TOL = 1e-12
 
 #: Largest scan grid; a scan holds O(n*s^2) floats for its n points.
@@ -179,10 +175,6 @@ def differentiation_pair(t: ImexTableau) -> DifferentiationPair:
     )
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
-
-
 def _psd_verdicts(M: np.ndarray, tol: float) -> np.ndarray:
     """Per matrix of an (n, k, k) stack: min eig of sym(M) >= -thr = -tol*max(1, |M|max),
     decided by an unpivoted LDL^T of sym(M) + thr*I on the stack transposed to (k, k, n),
@@ -202,6 +194,8 @@ def _psd_verdicts(M: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PsdVerdict:
+    """A float verdict compares min_eigenvalue with -threshold; an exact one has threshold 0."""
+
     is_psd: bool
     min_eigenvalue: float
     threshold: float
@@ -228,10 +222,10 @@ class DissipationCertificate:
     """Outcome of the unconditional-dissipation check for one tableau.
 
     certified means both constant matrices have PSD symmetric parts, which
-    is sufficient for stage-wise energy decay at any step size. When not
-    certified, `refuted` says whether some sampled z <= 0 actually exhibits
-    a negative direction (the criterion is sufficient only, so a failed
-    check alone leaves the method undetermined).
+    is sufficient for stage-wise energy decay at any step size. refuted is
+    its negation, and means some z <= 0 has a D(z) whose symmetric part is
+    not PSD: a negative direction of sym D_E is one of D(0), and one v of
+    sym D_EI gives v^T sym D(z) v -> -inf as z -> -inf.
     """
 
     method: str
@@ -240,8 +234,6 @@ class DissipationCertificate:
     psd_d_ei: PsdVerdict
     certified: bool
     refuted: bool
-    z_samples: tuple
-    min_eig_by_z: tuple
     rate_intercept: float
     rate_slope: float
     witnesses: tuple
@@ -254,86 +246,90 @@ class DissipationCertificate:
             "refuted": self.refuted,
             "min_eig_DE": self.psd_d_e.min_eigenvalue,
             "min_eig_DEI": self.psd_d_ei.min_eigenvalue,
-            "z_samples": list(self.z_samples),
-            "min_eig_by_z": list(self.min_eig_by_z),
             "rate": {"intercept": self.rate_intercept, "slope": self.rate_slope},
             "witnesses": [w.as_dict() for w in self.witnesses],
         }
 
 
-def _exact_sym(M):
+def _sym_elimination(M):
+    """(is_psd, minors) of sym(M), M a square of exact rationals (Fractions, ints
+    or floats), by one fraction-free (Bareiss) elimination of the lower triangle
+    of B = diag(l) (M + M^T) diag(l), l_i the lcm of row i's denominators.
+
+    Each step divides exactly by the previous pivot, so the k-th pivot is the
+    order-k leading minor of sym(M) times scale_k = prod_{i<k} 2 l_i^2. sym(M) is
+    PSD when every pivot is >= 0 and a zero pivot has a zero column below it;
+    that row is skipped, and the leading minors past it vanish. `minors` lists
+    (pivot, scale_k) up to such a row, or one step past another zero minor.
+    """
     n = len(M)
-    return [[(M[i][j] + M[j][i]) * Fraction(1, 2) for j in range(n)] for i in range(n)]
+    ratios = [[x.as_integer_ratio() for x in row] for row in M]
+    lcms = [math.lcm(*(d for _, d in row)) for row in ratios]
+    m = [[p * (l // d) for p, d in row] for row, l in zip(ratios, lcms)]
+    a = [[m[i][j] * lcms[j] + m[j][i] * lcms[i] for j in range(i + 1)] for i in range(n)]
+    prev, psd, lead, scale, minors = 1, True, True, 1, []
+    for k in range(n):
+        p = a[k][k]
+        if lead:
+            scale *= 2 * lcms[k] ** 2
+            minors.append((p, scale))
+        if p == 0 and not any(a[i][k] for i in range(k + 1, n)):
+            lead = False
+            continue
+        psd = psd and p > 0
+        if prev == 0 or not (psd or lead):
+            break
+        for i in range(k + 1, n):
+            row, aik = a[i], a[i][k]
+            for j in range(k + 1, i + 1):
+                row[j] = (p * row[j] - aik * a[j][k]) // prev
+        prev = p
+    return psd, minors
 
 
-def _exact_det(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    # cofactor expansion; matrices here are at most 6x6
-    det = M[0][0] * 0
-    for j in range(n):
-        minor = [[M[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = M[0][j] * _exact_det(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
+def _float(x) -> float:
+    """The float nearest to the rational x, or +-inf where it exceeds every float."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
-def _first_negative_minor(name: str, M_np: np.ndarray, M_exact, thr: float):
-    S = _sym(M_np)
-    for k in range(1, S.shape[0] + 1):
-        with np.errstate(over="ignore"):  # an overflow is still a sign: +-inf
-            det = float(np.linalg.det(S[:k, :k]))
-        if det < -thr:
-            exact = None
-            if M_exact is not None:
-                SE = _exact_sym(M_exact)
-                exact = _exact_det([row[:k] for row in SE[:k]])
-            return MinorWitness(matrix=name, order=k, determinant=det, exact=exact)
-    return None
-
-
-def certify(
-    t: ImexTableau,
-    tol: float = DEFAULT_TOL,
-    z_samples: Sequence[float] = DEFAULT_Z_SAMPLES,
-) -> DissipationCertificate:
+def certify(t: ImexTableau, tol: float = DEFAULT_TOL) -> DissipationCertificate:
     """Certify unconditional stage-wise energy dissipation via (D_E, D_EI).
 
-    The verdict uses eigenvalues of the symmetric parts with a threshold
-    relative to each matrix's largest entry. Minor determinants are reported
-    only as witnesses for the non-PSD case.
+    A rational tableau is decided exactly by `_sym_elimination` on its exact
+    pair, and tol is not read. A float tableau is decided by the eigenvalues of
+    the symmetric parts against tol * max(1, |M|max), and its witness is the
+    first leading minor of the pair's float values below that threshold. The
+    minimum eigenvalues are reported either way.
     """
     pair = differentiation_pair(t)
-    zs = np.asarray(z_samples, dtype=float).reshape(-1, 1, 1)
-    # one stack: D_E, D_EI, then D(z) at every sample
-    stack = np.concatenate([pair.d_e[None], pair.d_ei[None], pair.at(zs)])
-    min_eig = np.linalg.eigvalsh(_sym(stack)).min(axis=-1)
-    thr = tol * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
-    v_e, v_ei = (PsdVerdict(bool(min_eig[i] >= -thr[i]), float(min_eig[i]), float(thr[i]))
-                 for i in (0, 1))
-    certified = v_e.is_psd and v_ei.is_psd
-    refuted = bool((min_eig[2:] < -thr[2:]).any())
-    witnesses = []
-    if not certified:
-        for nm, M, ME, verdict in (
-            ("D_E", pair.d_e, pair.exact_d_e, v_e),
-            ("D_EI", pair.d_ei, pair.exact_d_ei, v_ei),
-        ):
-            if not verdict.is_psd:
-                w = _first_negative_minor(nm, M, ME, verdict.threshold)
-                if w is not None:
-                    witnesses.append(w)
+    S = np.stack([pair.d_e, pair.d_ei])
+    min_eig = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2))).min(axis=-1)
+    verdicts, witnesses = [], []
+    for name, M, exact, lo in (("D_E", pair.d_e, pair.exact_d_e, min_eig[0]),
+                               ("D_EI", pair.d_ei, pair.exact_d_ei, min_eig[1])):
+        if t.exact:
+            thr, (is_psd, minors) = 0.0, _sym_elimination(exact)
+        else:
+            thr = tol * max(1.0, float(np.abs(M).max()))
+            is_psd = bool(lo >= -thr)
+            minors = () if is_psd else _sym_elimination(M.tolist())[1]
+        verdicts.append(PsdVerdict(is_psd, float(lo), thr))
+        for k, (p, scale) in enumerate(minors, start=1):
+            if p < 0 and (value := Fraction(p, scale)) < -thr:
+                witnesses.append(MinorWitness(name, k, _float(value), value if t.exact else None))
+                break
+    certified = verdicts[0].is_psd and verdicts[1].is_psd
     intercept, slope = average_rate(t)
     return DissipationCertificate(
         method=t.name,
         params=dict(t.params),
-        psd_d_e=v_e,
-        psd_d_ei=v_ei,
+        psd_d_e=verdicts[0],
+        psd_d_ei=verdicts[1],
         certified=certified,
-        refuted=refuted,
-        z_samples=tuple(float(z) for z in z_samples),
-        min_eig_by_z=tuple(min_eig[2:].tolist()),
+        refuted=not certified,
         rate_intercept=float(intercept),
         rate_slope=float(slope),
         witnesses=tuple(witnesses),
@@ -396,7 +392,7 @@ def scan_parameter(
     family is built once along it (`tableau.family_batch`), the pairs of all
     valid points come from one run of `differentiation_pair`'s forward
     substitution over the float stack, and each matrix the target reads gets
-    one batched PSD verdict (`_psd_verdicts`, `certify`'s threshold). Memory
+    one batched PSD verdict (`_psd_verdicts`, `certify`'s float threshold). Memory
     is O(n*s^2) for n grid points, so grids beyond MAX_SCAN_POINTS are rejected.
     """
     if target not in ("certified", "d_e", "d_ei"):

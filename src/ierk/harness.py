@@ -202,9 +202,8 @@ def run_verify(tab: ImexTableau, tol: float = 1e-10) -> dict:
     return out
 
 
-def run_certify(tab: ImexTableau, tol: float = dissipation.DEFAULT_TOL,
-                z_samples: Sequence[float] = dissipation.DEFAULT_Z_SAMPLES) -> dict:
-    cert = dissipation.certify(tab, tol=tol, z_samples=z_samples)
+def run_certify(tab: ImexTableau, tol: float = dissipation.DEFAULT_TOL) -> dict:
+    cert = dissipation.certify(tab, tol=tol)
     out = cert.as_dict()
     out["ok"] = cert.certified
     return out

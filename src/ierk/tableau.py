@@ -674,7 +674,10 @@ def family_batch(name: str, symbol: str, values: np.ndarray, fixed: Mapping):
     if symbol in fixed:
         raise DegenerateParameters(f"{name}: {symbol} is scanned, so it cannot be fixed too")
     n = len(values)
-    params = {k: np.full(n, float(as_scalar(v))).view(_FloatGrid) for k, v in fixed.items()}
+    try:
+        params = {k: np.full(n, float(as_scalar(v))).view(_FloatGrid) for k, v in fixed.items()}
+    except OverflowError:
+        raise InvalidTableau(f"{name}: a coefficient is too large for a float") from None
     params[symbol] = np.asarray(values, dtype=float).view(_FloatGrid)
     family = _family(name, params)
 

@@ -6,8 +6,8 @@ import pytest
 
 from ierk import dissipation
 from ierk.dissipation import (
-    DEFAULT_Z_SAMPLES,
     _psd_verdicts,
+    _sym_elimination,
     average_rate,
     certify,
     difference_coefficients,
@@ -311,12 +311,43 @@ def test_certify_npd_witness_exact():
     for a22 in (1, 2, 3):
         cert = certify(registry("IERK3-4stage", {"a22": a22}))
         assert not cert.certified
-        assert cert.refuted  # some sampled z exhibits a negative direction
+        assert cert.refuted  # D(z) has a negative direction for z -> -inf
         assert cert.psd_d_e.is_psd and not cert.psd_d_ei.is_psd
         w = cert.witnesses[0]
         assert w.matrix == "D_EI" and w.order == 2
         assert w.exact == F(-1, 16)
         assert w.determinant == pytest.approx(-1 / 16, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [0.5, 0.1])
+def test_rational_verdict_and_witness_ignore_tol(tol):
+    cert = certify(registry("IERK3-4stage", {"a22": 2}), tol=tol)
+    assert not cert.certified and cert.refuted
+    assert cert.psd_d_ei.threshold == 0.0 and cert.psd_d_e.threshold == 0.0
+    assert [w.as_dict() for w in cert.witnesses] == [
+        {"matrix": "D_EI", "order": 2, "exact": "-1/16", "determinant": -0.0625}]
+
+
+@pytest.mark.parametrize("M, is_psd, minors", [
+    ([[0, 0], [0, 1]], True, [0]),  # a zero row is skipped; the minors past it vanish
+    ([[1, 0, 0], [0, 0, 0], [0, 0, -1]], False, [1, 0]),
+    ([[0, 0], [1, 1]], False, [0, F(-1, 4)]),  # one step past the zero minor
+    ([[0, 0, 0], [0, 0, 0], [1, 0, 1]], False, [0, 0]),  # no further step divides by 0
+    ([[F(1, 3), 0], [F(1, 5), F(1, 7)]], True, [F(1, 3), F(1, 21) - F(1, 100)]),
+    ([[0.5, 0.0], [0.25, -1e-300]], False, [F(1, 2), F(-1e-300) / 2 - F(1, 64)]),
+])
+def test_sym_elimination_minors(M, is_psd, minors):
+    got_psd, got = _sym_elimination(M)
+    assert got_psd is is_psd
+    assert [F(p, scale) for p, scale in got] == minors
+
+
+def test_refuted_is_not_certified():
+    # IERK2-2 at a33 = 0.3 and tol 0.5 was once both certified and refuted
+    for name, params in [*REGISTRY_CASES, ("IERK2-2", {"a33": 0.3})]:
+        for tol in (0.0, 1e-12, 0.5):
+            cert = certify(registry(name, params), tol=tol)
+            assert cert.refuted == (not cert.certified), (name, tol)
 
 
 def test_certify_examples():
@@ -329,14 +360,16 @@ def test_certify_examples():
 
 
 def test_certified_implies_d_of_z_psd():
-    # sufficiency consistency along the sampled stiffness range
+    # sufficiency consistency along the stiffness range
     for name, params in REGISTRY_CASES:
         cert = certify(registry(name, params))
         if not cert.certified:
             continue
-        for z, me in zip(cert.z_samples, cert.min_eig_by_z):
-            pair = differentiation_pair(registry(name, params))
-            scale = max(1.0, float(np.abs(pair.at(z)).max()))
+        pair = differentiation_pair(registry(name, params))
+        for z in (0.0, -1e-3, -1.0, -1e3, -1e6):
+            D = pair.at(z)
+            me = np.linalg.eigvalsh(0.5 * (D + D.T)).min()
+            scale = max(1.0, float(np.abs(D).max()))
             assert me >= -10 * 1e-12 * scale, (name, z, me)
 
 
@@ -554,10 +587,8 @@ def test_scan_rejects_bad_symbols_and_bounds():
 # ---------------------------------------------------------------------------
 
 def _lead_minor_det(M, k):
-    from ierk.dissipation import _exact_det, _exact_sym
-
-    S = _exact_sym(M)
-    return _exact_det([row[:k] for row in S[:k]])
+    pivot, scale = _sym_elimination(M)[1][k - 1]
+    return F(pivot, scale)
 
 
 def test_ierk2_1_determinant_identities():

@@ -498,6 +498,7 @@ def test_cli_evolve_non_finite_parameters_exit_2(flag, tmp_path, capsys):
      "argument --lo: expected one argument"),
     (["scan", "IERK2-1", "--lo", "0"], "the following arguments are required"),
     (["certify", "IERK1", "--theta", "1", "stray"], "unrecognized arguments: stray"),
+    (["rate-table", "--config", "/nonexistent/missing.json"], "rate-table has no option --config"),
 ])
 def test_cli_parser_errors_are_one_line(args, message, capsys):
     assert main(args) == 2
@@ -625,6 +626,16 @@ def test_cli_certify_overflowing_minor_writes_strict_json(tmp_path, capsys):
     assert code == 1 and err == ""
     witness = report["witnesses"][0]
     assert witness["determinant"] is None and witness["exact"].startswith("-")
+
+
+@pytest.mark.parametrize("tol", ["0.5", "0.1"])
+def test_cli_certify_rational_verdict_ignores_tol(tol, tmp_path, capsys):
+    code, report, err = _cli_strict_report(["certify", "IERK3-4stage", "--a22", "2", "--tol", tol],
+                                           tmp_path, capsys)
+    assert code == 1 and err == ""
+    assert not report["certified"] and report["refuted"]
+    assert report["witnesses"] == [
+        {"matrix": "D_EI", "order": 2, "exact": "-1/16", "determinant": -0.0625}]
 
 
 def test_cli_custom_tableau_file(tmp_path, capsys):
@@ -842,7 +853,8 @@ def test_cli_evolve_huge_domain_writes_report(tmp_path, capsys):
 
 
 def _huge_param_case(tmp_path, form):
-    """(argv, message): IERK1 or a tableau file with an entry no float can hold,
+    """(argv, message): IERK1, a scan's fixed parameter or a tableau file with an
+    entry no float can hold,
     or ("pair") a tableau whose entries fit but whose D_E holds 1 / a_hat_32 = 10**400,
     or ("float pair") a float tableau whose D_E overflows with 1 / a_hat_32 = 1 / 1e-310."""
     coefficient = "a coefficient is too large for a float"
@@ -850,6 +862,9 @@ def _huge_param_case(tmp_path, form):
         return ["certify", "IERK1", "--theta", str(_HUGE)], f"IERK1: {coefficient}"
     if form == "verify":
         return ["verify", "IERK1", "--p", f"theta={_HUGE}"], f"IERK1: {coefficient}"
+    if form == "scan":
+        return (["scan", "IERK2-1", "--symbol", "c2", "--lo", "0.5", "--hi", "1", "--a33", str(_HUGE)],
+                f"IERK2-1: {coefficient}")
     if form == "config":
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**_EVOLVE_CFG, "params": {"theta": _HUGE}}))
@@ -874,7 +889,8 @@ def _huge_param_case(tmp_path, form):
     return ["certify", "--tableau", str(path)], f"huge: {coefficient}"
 
 
-@pytest.mark.parametrize("form", ["flag", "verify", "config", "tableau", "pair", "float pair"])
+@pytest.mark.parametrize("form", ["flag", "verify", "scan", "config", "tableau", "pair",
+                                  "float pair"])
 def test_cli_coefficient_too_large_for_a_float_exits_2(form, tmp_path, capsys):
     argv, message = _huge_param_case(tmp_path, form)
     out_dir = tmp_path / "run"

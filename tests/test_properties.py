@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from ierk.cli import main  # noqa: E402
-from ierk.dissipation import _psd_verdicts, certify, scan_parameter  # noqa: E402
+from ierk.dissipation import (  # noqa: E402
+    _psd_verdicts, certify, differentiation_pair, scan_parameter)
+from ierk.errors import IerkError  # noqa: E402
 from ierk.harness import CONFIG_SCHEMA  # noqa: E402
 from ierk.tableau import (  # noqa: E402
     FAMILIES, METHOD_NAMES, ImexTableau, check_order_conditions, registry)
@@ -112,6 +114,64 @@ def test_order_residuals_equal_the_fraction_reference(tab, rnd):
     for t in (tab, float_view, mixed_view):
         got = {c.name: (c.order, c.residual) for c in check_order_conditions(t).conditions}
         assert got == _reference_residuals(t)
+
+
+@st.composite
+def rational_window_tableaux(draw):
+    """A registry tableau at a rational point of a criterion-4 scan window, so
+    that both verdicts occur."""
+    family, symbol, lo, hi, fixed = draw(st.sampled_from(WINDOWS))
+    value = draw(st.fractions(Fraction(str(lo)), Fraction(str(hi)), max_denominator=1000))
+    try:
+        return registry(family, {**{k: Fraction(v) for k, v in fixed.items()}, symbol: value})
+    except IerkError:
+        assume(False)
+
+
+def _fraction_det(S):
+    """Determinant of a square list of Fractions by Gaussian elimination with row swaps."""
+    S, det = [list(row) for row in S], Fraction(1)
+    for k in range(len(S)):
+        piv = next((i for i in range(k, len(S)) if S[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            S[k], S[piv], det = S[piv], S[k], -det
+        det *= S[k][k]
+        for i in range(k + 1, len(S)):
+            f = S[i][k] / S[k][k]
+            S[i] = [x - f * y for x, y in zip(S[i], S[k])]
+    return det
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(rational_tableaux(), rational_window_tableaux()))
+@example(registry("IERK4-A1"))  # s = 7, which the draws above seldom reach
+@example(registry("IERK4-A2"))
+@example(registry("IERK3-1", {"a55": Fraction(2, 5)}))  # a zero order-1 minor
+def test_exact_certificate_matches_eigenvalues_and_fraction_minors(tab):
+    cert = certify(tab)
+    assert cert.refuted == (not cert.certified)
+    pair = differentiation_pair(tab)
+    witnesses = {w.matrix: w for w in cert.witnesses}
+    for name, verdict, M, exact in (("D_E", cert.psd_d_e, pair.d_e, pair.exact_d_e),
+                                    ("D_EI", cert.psd_d_ei, pair.d_ei, pair.exact_d_ei)):
+        assert verdict.threshold == 0.0
+        if abs(verdict.min_eigenvalue) > 1e-9 * max(1.0, float(np.abs(M).max())):
+            assert verdict.is_psd == (verdict.min_eigenvalue > 0)
+        n = len(exact)
+        S = [[(exact[i][j] + exact[j][i]) / 2 for j in range(n)] for i in range(n)]
+        minors = [_fraction_det([row[:k] for row in S[:k]]) for k in range(1, n + 1)]
+        first_negative = next((k for k, m in enumerate(minors, start=1) if m < 0), None)
+        w = witnesses.get(name)
+        if verdict.is_psd:
+            assert w is None and first_negative is None
+        elif w is not None:
+            assert w.order == first_negative and w.exact == minors[w.order - 1]
+            assert w.determinant == float(w.exact)
+        elif first_negative is not None:
+            # the elimination stops at a zero minor it cannot divide by
+            assert 0 in minors[:first_negative - 1]
 
 
 @st.composite
