@@ -287,7 +287,7 @@ def _dispatch(args) -> int:
             if final is not None:
                 grid = SpectralGrid(*exp.domain, exp.m)
                 harness.write_field_csv(os.path.join(outdir, "snapshot.csv"), grid, final)
-            if len(trace):
+            if any(map(math.isfinite, trace.energies)):
                 harness.svg_line_plot(
                     os.path.join(outdir, "plot.svg"),
                     [(summary["method"], trace.times, trace.energies)],

@@ -290,21 +290,15 @@ class ConvergenceTable:
         """Median pairwise order over the three smallest usable step sizes.
 
         A row is usable when its error is finite and above the round-off
-        floor; only adjacent usable rows form pairs.
+        floor; a row's stored order counts when it and the row before it are
+        usable.
         """
-        usable = [
-            i for i, r in enumerate(self.rows)
-            if math.isfinite(r.error) and r.error >= floor
-        ]
-        orders = []
-        for i, j in zip(usable, usable[1:]):
-            if j == i + 1:
-                ri, rj = self.rows[i], self.rows[j]
-                orders.append(math.log(ri.error / rj.error) / math.log(ri.tau / rj.tau))
-        if not orders:
-            return None
-        tail = orders[-3:]
-        return sorted(tail)[len(tail) // 2]
+        def usable(r):
+            return math.isfinite(r.error) and r.error >= floor
+
+        pairs = zip(self.rows, self.rows[1:])
+        tail = [r.observed_order for p, r in pairs if usable(p) and usable(r)][-3:]
+        return sorted(tail)[len(tail) // 2] if tail else None
 
 
 def run_converge(cfg: Experiment | Mapping) -> ConvergenceTable:
@@ -321,6 +315,8 @@ def run_converge(cfg: Experiment | Mapping) -> ConvergenceTable:
     t_final, taus = exp.t_final, list(exp.tau_grid)
     if not taus:
         raise ValueError("tau_grid must hold at least one step size")
+    if not t_final > 0:
+        raise ValueError(f"t_final must be > 0 for a convergence study, got {t_final}")
     if any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])):
         raise ValueError("tau grid must be strictly decreasing")
     steps = [step_count(t_final, tau, "tau_grid entry") for tau in taus]
@@ -513,9 +509,10 @@ def svg_line_plot(path, series, title="", logx=False, logy=False,
                   width=640, height=420) -> None:
     """Tiny static line plot: one polyline per (label, xs, ys) series."""
     margin = 54.0
-    # each series' plottable points, on the log scale where asked
+    # each series' plottable points, finite and on the log scale where asked
     curves = [[(math.log10(x) if logx else float(x), math.log10(y) if logy else float(y))
-               for x, y in zip(xs, ys) if not (logx and x <= 0 or logy and y <= 0)]
+               for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)
+               and not (logx and x <= 0 or logy and y <= 0)]
               for _, xs, ys in series]
     pts = [p for curve in curves for p in curve]
     if not pts:

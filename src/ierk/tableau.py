@@ -6,9 +6,10 @@ methods here have an explicit first stage, shared abscissas for both parts,
 and are stiffly accurate: the weights equal the last row of each matrix, so
 the final stage is the step solution.
 
-Coefficients are stored exactly as `fractions.Fraction` whenever the method
-(and its parameters) are rational; families built around sqrt(2) fall back to
-binary64. Conversion to float happens only at the linear-algebra boundary.
+A tableau decides its number kind once, at construction: when every entry is
+rational it is stored exactly as `fractions.Fraction`, and otherwise (a float
+parameter, or a family built around sqrt(2)) every entry is stored as a
+binary64 float. Nothing downstream mixes the two.
 """
 
 from __future__ import annotations
@@ -60,15 +61,17 @@ def _float_close(a, b):
 
 
 def _close(a, b, exact: bool) -> bool:
-    return a == b if exact else bool(_float_close(float(a), float(b)))
+    return a == b if exact else bool(_float_close(a, b))
 
 
 @dataclass(frozen=True)
 class ImexTableau:
     """Paired implicit/explicit Butcher tableaux with shared abscissas.
 
-    `c`, `A` and `A_hat` are tuples of Fraction or float entries. The methods
-    are stiffly accurate, so the weights are the last rows of `A` and `A_hat`.
+    `c`, `A` and `A_hat` are tuples of entries that are either all Fractions
+    (`exact`) or all floats: ints become Fractions, and one float entry makes
+    every entry a float. The methods are stiffly accurate, so the weights are
+    the last rows of `A` and `A_hat`.
     """
 
     name: str
@@ -77,12 +80,22 @@ class ImexTableau:
     A_hat: tuple
     formal_order: Optional[int] = None
     params: Mapping[str, Scalar] = field(default_factory=dict, compare=False)
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # ints become Fractions, so that an int-built tableau is exact throughout
-        object.__setattr__(self, "c", tuple(map(as_scalar, self.c)))
-        object.__setattr__(self, "A", tuple(tuple(map(as_scalar, r)) for r in self.A))
-        object.__setattr__(self, "A_hat", tuple(tuple(map(as_scalar, r)) for r in self.A_hat))
+        rows = [tuple(map(as_scalar, r)) for r in (self.c, *self.A, *self.A_hat)]
+        # the one number boundary: all Fractions stay exact, anything else is all float
+        exact = all(isinstance(x, Fraction) for r in rows for x in r)
+        if not exact:
+            try:
+                rows = [tuple(map(float, r)) for r in rows]
+            except OverflowError:
+                raise InvalidTableau(f"{self.name}: a coefficient is too large for a float") from None
+        k = 1 + len(self.A)
+        object.__setattr__(self, "c", rows[0])
+        object.__setattr__(self, "A", tuple(rows[1:k]))
+        object.__setattr__(self, "A_hat", tuple(rows[k:]))
+        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "params", dict(self.params))
         validate_tableau(self)
 
@@ -95,25 +108,9 @@ class ImexTableau:
         return self.s - 1
 
     @cached_property
-    def exact(self) -> bool:
-        """Every entry is a Fraction."""
-        return all(isinstance(x, Fraction) for x in itertools.chain(self.c, *self.A, *self.A_hat))
-
-    @cached_property
     def float_arrays(self):
         """(c, A, A_hat) as float ndarrays, converted once by `validate_tableau`."""
         return tuple(np.array(x, dtype=float) for x in (self.c, self.A, self.A_hat))
-
-    @cached_property
-    def outside_certified_range(self) -> bool:
-        """Warning flag: `certify` does not certify this tableau.
-
-        The tableau is still a valid Runge-Kutta method, so construction does
-        not fail; the certificate is built on first read.
-        """
-        from .dissipation import certify
-
-        return not certify(self).certified
 
 
 def validate_tableau(t: ImexTableau) -> None:
@@ -138,9 +135,9 @@ def validate_tableau(t: ImexTableau) -> None:
                 raise InvalidTableau(f"{t.name}: explicit matrix not lower triangular at ({i},{j})")
         if t.A_hat[i][i] != 0:
             raise InvalidTableau(f"{t.name}: explicit matrix must have zero diagonal at ({i},{i})")
-        if not _close(sum(t.A[i][: i + 1], start=Fraction(0)), t.c[i], exact):
+        if not _close(sum(t.A[i][: i + 1]), t.c[i], exact):
             raise InvalidTableau(f"{t.name}: implicit row {i} does not sum to c[{i}]")
-        if not _close(sum(t.A_hat[i][:i], start=Fraction(0)), t.c[i], exact):
+        if not _close(sum(t.A_hat[i][:i]), t.c[i], exact):
             raise InvalidTableau(f"{t.name}: explicit row {i} does not sum to c[{i}]")
     if any(t.A[0][j] != 0 for j in range(s)):
         raise InvalidTableau(f"{t.name}: first stage must be explicit")
@@ -240,9 +237,7 @@ def check_order_conditions(t: ImexTableau, tol: float = 1e-10) -> OrderReport:
     s = t.s
     exact = t.exact
     L = math.lcm(*(x.denominator for x in itertools.chain(t.c, *t.A, *t.A_hat))) if exact else 1
-    # a float tableau keeps its Fractions but reads Fraction(0) as int 0: mixed products stay fast
-    scaled = ((lambda row: [x.numerator * (L // x.denominator) for x in row]) if exact
-              else (lambda row: [0 if type(x) is Fraction and not x else x for x in row]))
+    scaled = (lambda row: [x.numerator * (L // x.denominator) for x in row]) if exact else list
     c = scaled(t.c)
     A = [scaled(r) for r in t.A]
     Ah = [scaled(r) for r in t.A_hat]
@@ -285,7 +280,7 @@ def check_order_conditions(t: ImexTableau, tol: float = 1e-10) -> OrderReport:
 
     def residual(v, p, q):
         try:
-            return abs(v * q - L**p) / (q * L**p) if exact else abs(float(v - Fraction(1, q)))
+            return abs(v * q - L**p) / (q * L**p) if exact else abs(v - 1 / q)
         except OverflowError:
             return math.inf
 
@@ -326,8 +321,6 @@ def _build_ierk2_1(c2, a33):
 
 def _build_ierk2_2(a33):
     c2 = _SQRT2 / 2
-    if np.ndim(a33) == 0:
-        a33 = float(a33)
     c = (_f(0), c2, 1.0)
     A = (
         (_f(0),) * 3,
@@ -402,8 +395,7 @@ def _build_ierk3_1(a55):
             a55,
         ),
     )
-    c = _C5 if isinstance(a55, Fraction) else tuple(float(x) for x in _C5)
-    return c, A, _EXPLICIT_5
+    return _C5, A, _EXPLICIT_5
 
 
 def _build_ierk3_2(a43):
@@ -427,8 +419,7 @@ def _build_ierk3_2(a43):
             _f(18, 25) + z,
         ),
     )
-    c = _C5 if isinstance(a43, Fraction) else tuple(float(x) for x in _C5)
-    return c, A, _EXPLICIT_5
+    return _C5, A, _EXPLICIT_5
 
 
 def _build_ierk3_radau(ahat43):
@@ -458,8 +449,6 @@ def _build_ierk3_radau(ahat43):
             _f(0),
         ),
     )
-    if not isinstance(ahat43, Fraction):
-        c = tuple(float(x) for x in c)
     return c, A, Ah
 
 
@@ -752,9 +741,7 @@ def load_tableau(path) -> ImexTableau:
 
 
 def tableau_to_dict(t: ImexTableau) -> dict:
-    def enc(x):
-        return str(x) if isinstance(x, Fraction) else float(x)
-
+    enc = str if t.exact else float
     return {
         "name": t.name,
         "s": t.s,

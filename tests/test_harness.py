@@ -151,11 +151,11 @@ def test_energy_deviation_stride_check():
         energy_deviation(coarse, mk(0.03, 40), 0.1)
 
 
-def test_run_converge_zero_steps_sanity_row():
-    # t_final = 0 runs no steps: the initial data is exact, so the error is 0
-    table = run_converge({"method": "IERK1", "params": {"theta": 0.5},
-                          "t_final": 0.0, "tau_grid": [0.1]})
-    assert table.rows[0].error == 0.0
+def test_run_converge_zero_t_final_is_refused():
+    # t_final = 0 would run no steps and report a zero error at every tau
+    with pytest.raises(ValueError, match="t_final must be > 0 for a convergence study, got 0.0"):
+        run_converge({"method": "IERK1", "params": {"theta": 0.5},
+                      "t_final": 0.0, "tau_grid": [0.1]})
 
 
 def test_run_converge_divergent_rows_leave_the_others_intact():
@@ -279,6 +279,9 @@ _CONVERGE_CFG = {"method": "IERK1", "params": {"theta": 0.5}, "m": 32, "tau_grid
     ("evolve", {**_EVOLVE_CFG, "domain": [0, 1e-200]}, [], "M L_kappa overflows a float"),
     ("evolve", {**_EVOLVE_CFG, "epsilon": 1e153}, [], "M L_kappa overflows a float"),
     ("evolve", {**_EVOLVE_CFG, "kappa": 1e308}, [], "M L_kappa overflows a float"),
+    # a convergence study that takes no step
+    ("converge", {**_CONVERGE_CFG, "tau_grid": [0.1, 0.05]}, ["--t-final", "0"],
+     "t_final must be > 0 for a convergence study, got 0.0"),
 ])
 def test_cli_bad_step_count_exits_2(command, cfg, flags, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -609,6 +612,24 @@ def test_cli_evolve_blow_up_writes_strict_json(tmp_path, capsys):
     assert report["final_energy"] is None
 
 
+def _svg_points(path):
+    """Every polyline coordinate of an SVG file, which must parse as XML."""
+    import xml.etree.ElementTree as ET
+
+    lines = ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}polyline")
+    return [float(v) for line in lines for p in line.get("points").split() for v in p.split(",")]
+
+
+def test_cli_evolve_diverged_run_plots_finite_points(tmp_path, capsys):
+    # the energy turns nan at step 3: the plot keeps the two finite steps
+    code, report, err = _cli_strict_report(
+        ["evolve", "IERK3-4stage", "--a22", "2", "--tau", "1", "--kappa", "0",
+         "--t-final", "20", "--m", "64"], tmp_path, capsys)
+    assert code == 1 and report["diverged"] and err == ""
+    points = _svg_points(tmp_path / "run" / "plot.svg")
+    assert len(points) == 4 and all(map(math.isfinite, points))
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "IERK3-1", "--a55", "1e300", "--kappa", "1e305", "--tau", "0.5", "--t-final", "1"],
     ["converge", "IERK3-1", "--a55", "1e300", "--kappa", "1e305", "--tau-grid", "0.5"],
@@ -843,6 +864,19 @@ def test_svg_flat_series_at_large_magnitude(tmp_path):
         assert text.startswith("<svg") and "nan" not in text and "inf" not in text
 
 
+@pytest.mark.parametrize("logx, logy", [(False, False), (True, True)])
+def test_svg_drops_non_finite_points(logx, logy, tmp_path):
+    from ierk.harness import svg_line_plot
+
+    path = tmp_path / "plot.svg"
+    svg_line_plot(path, [("e", [1, 2, 3, 4, math.inf], [1.0, math.nan, 0.5, math.inf, 2.0]),
+                         ("f", [1, math.nan], [0.25, 0.25])], logx=logx, logy=logy)
+    points = _svg_points(path)
+    assert len(points) == 6 and all(map(math.isfinite, points))
+    with pytest.raises(ValueError, match="nothing to plot"):
+        svg_line_plot(path, [("e", [1, 2], [math.nan, -math.inf])])
+
+
 def test_cli_evolve_huge_domain_writes_report(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**_EVOLVE_CFG, "domain": [0, 1e308], "initial": "sine"}))
@@ -870,6 +904,12 @@ def _huge_param_case(tmp_path, form):
         path.write_text(json.dumps({**_EVOLVE_CFG, "params": {"theta": _HUGE}}))
         return ["evolve", "--config", str(path)], f"IERK1: {coefficient}"
     path = tmp_path / "huge.json"
+    if form == "mixed":
+        # a float entry makes the tableau float, so the integer entries must fit too
+        path.write_text(json.dumps({"name": "mixed", "s": 3, "c": [0, 0.5, 1],
+                                    "A": [[0, 0, 0], [0.25, 0.25, 0], [1.0, _HUGE, -_HUGE]],
+                                    "A_hat": [[0, 0, 0], [0.5, 0, 0], [0, 1, 0]]}))
+        return ["certify", "--tableau", str(path)], f"mixed: {coefficient}"
     if form == "float pair":
         path.write_text(json.dumps({"name": "tiny", "s": 3, "c": [0, 0.5, 1],
                                     "A": [[0, 0, 0], [0.25, 0.25, 0], [0.25, 0.25, 0.5]],
@@ -889,8 +929,8 @@ def _huge_param_case(tmp_path, form):
     return ["certify", "--tableau", str(path)], f"huge: {coefficient}"
 
 
-@pytest.mark.parametrize("form", ["flag", "verify", "scan", "config", "tableau", "pair",
-                                  "float pair"])
+@pytest.mark.parametrize("form", ["flag", "verify", "scan", "config", "tableau", "mixed",
+                                  "pair", "float pair"])
 def test_cli_coefficient_too_large_for_a_float_exits_2(form, tmp_path, capsys):
     argv, message = _huge_param_case(tmp_path, form)
     out_dir = tmp_path / "run"

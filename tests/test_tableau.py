@@ -1,9 +1,11 @@
+import itertools
 import json
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from ierk.dissipation import certify
 from ierk.errors import DegenerateParameters, InvalidTableau, UnknownMethod
 from ierk.tableau import (
     METHOD_NAMES,
@@ -117,18 +119,18 @@ def test_registry_deterministic():
 
 
 def test_certified_range_warning_flag():
-    assert registry("IERK3-4stage", {"a22": 2}).outside_certified_range is True
-    assert registry("IERK3-1", {"a55": 0.8}).outside_certified_range is False
-    assert registry("IERK3-1", {"a55": 0.5}).outside_certified_range is True
-    assert registry("IERK1", {"theta": F(1, 4)}).outside_certified_range is True
-    assert registry("IERK2-Radau", {"c2": F(9, 10)}).outside_certified_range is True
-    assert registry("IERK4-A1").outside_certified_range is False
+    assert certify(registry("IERK3-4stage", {"a22": 2})).certified is False
+    assert certify(registry("IERK3-1", {"a55": 0.8})).certified is True
+    assert certify(registry("IERK3-1", {"a55": 0.5})).certified is False
+    assert certify(registry("IERK1", {"theta": F(1, 4)})).certified is False
+    assert certify(registry("IERK2-Radau", {"c2": F(9, 10)})).certified is False
+    assert certify(registry("IERK4-A1")).certified is True
     # just past the six-digit interval ends, where certify already rejects
-    assert registry("IERK3-1", {"a55": 1.74728}).outside_certified_range is True
-    assert registry("IERK3-1", {"a55": 1.747275}).outside_certified_range is True
-    assert registry("IERK3-Radau", {"ahat43": 1.05135}).outside_certified_range is True
-    assert registry("IERK3-Radau", {"ahat43": 0.5984412}).outside_certified_range is True
-    assert registry("IERK3-2", {"a43": -0.6333125}).outside_certified_range is True
+    assert certify(registry("IERK3-1", {"a55": 1.74728})).certified is False
+    assert certify(registry("IERK3-1", {"a55": 1.747275})).certified is False
+    assert certify(registry("IERK3-Radau", {"ahat43": 1.05135})).certified is False
+    assert certify(registry("IERK3-Radau", {"ahat43": 0.5984412})).certified is False
+    assert certify(registry("IERK3-2", {"a43": -0.6333125})).certified is False
 
 
 def test_certified_range_flag_certifies_once_on_first_read(monkeypatch):
@@ -143,13 +145,9 @@ def test_certified_range_flag_certifies_once_on_first_read(monkeypatch):
 
     monkeypatch.setattr(dissipation, "certify", counting_certify)
     t = registry("IERK3-1", {"a55": 0.5})
+    # neither building a tableau nor reading one from a file builds a certificate
+    tableau_from_dict(tableau_to_dict(t))
     assert calls == []
-    assert t.outside_certified_range is True
-    assert t.outside_certified_range is True
-    assert calls == [t]
-    # a tableau read from a file gets the flag too
-    assert tableau_from_dict(tableau_to_dict(t)).outside_certified_range is True
-    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name,params", REGISTRY_CASES)
@@ -235,6 +233,32 @@ def test_int_entries_give_exact_fractions():
     pair = differentiation_pair(t)
     assert pair.exact_d_e == ((F(1),),) and pair.exact_d_ei == ((F(1, 2),),)
     assert all(type(x) is F for row in pair.exact_d_e + pair.exact_d_ei for x in row)
+
+
+def _entries(t):
+    return list(itertools.chain(t.c, *t.A, *t.A_hat))
+
+
+def test_one_float_entry_makes_every_entry_a_float():
+    mixed = ImexTableau(name="mixed", c=(0, 0.5, 1),
+                        A=((0, 0, 0), (F(1, 4), 0.25, 0), (F(1, 3), F(1, 6), "1/2")),
+                        A_hat=((0, 0, 0), (0.5, 0, 0), (0, 1, 0)))
+    for t in (registry("IERK3-1", {"a55": 0.8}), registry("IERK2-1", {"c2": 1, "a33": 0.5}), mixed):
+        assert not t.exact
+        assert all(type(x) is float for x in _entries(t))
+    assert mixed.A[2] == (float(F(1, 3)), float(F(1, 6)), 0.5)
+    for t in (registry("IERK3-1", {"a55": F(4, 5)}), registry("IERK2-1", {"c2": 1, "a33": "1/2"})):
+        assert t.exact
+        assert all(type(x) is F for x in _entries(t))
+
+
+def test_mixed_entry_too_large_for_a_float_is_one_line():
+    # the row sum 1.0 + 10**400 - 10**400 would overflow if it mixed the two
+    with pytest.raises(InvalidTableau) as info:
+        ImexTableau(name="mixed", c=(0, 0.5, 1),
+                    A=((0, 0, 0), (0.25, 0.25, 0), (1.0, 10**400, -10**400)),
+                    A_hat=((0, 0, 0), (0.5, 0, 0), (0, 1, 0)))
+    assert str(info.value) == "mixed: a coefficient is too large for a float"
 
 
 def test_exact_is_computed_once(monkeypatch):
